@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import __version__
 from .model import (
-    InvalidParamsError,
     ModelParams,
     expected_recall_size,
     fragment_stats,
@@ -390,13 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _read_config(args.config) if args.config else {}
         return args.func(_Options(args, config))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidParamsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:  # InvalidParamsError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

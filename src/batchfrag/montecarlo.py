@@ -10,9 +10,11 @@ are summed exactly, which makes every estimate independent of scheduling.
 
 For speed the trials of one estimate are evaluated as numpy array
 operations rather than through :func:`batchfrag.simulation.run_trial`
-objects. Both paths consume the same stream outputs through the same
-float comparisons, so they agree bit-for-bit; the test suite asserts that
-parity cell by cell.
+objects. Both paths consume the same stream outputs and make the same
+decisions: the simulator compares ``unit_float(x) < p``, the kernel the
+exactly equivalent integer test ``x < unit_threshold(p)``, and both draw
+the initial consumption with the same float arithmetic. So they agree
+bit-for-bit; the test suite asserts that parity cell by cell.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .model import InvalidParamsError, ModelParams, expected_recall_size
-from .seeding import derive_seed, derive_seeds, stream_outputs, unit_floats
+from .seeding import (derive_seed, derive_seeds, stream_outputs, unit_floats,
+                      unit_threshold)
 
 __all__ = [
     "Z95",
@@ -41,6 +44,10 @@ __all__ = [
 # Normal-approximation critical values used for the reported half-widths.
 Z95 = 1.960
 Z98 = 2.326
+
+# Stream outputs per trial chunk of trial_recalls (32 MiB of uint64), which
+# bounds its working set whatever the quantity and trial count.
+_CHUNK_OUTPUTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -99,43 +106,117 @@ def trial_recalls(config: EstimateConfig) -> np.ndarray:
     """Recalled quantity of every trial, as an int64 array of length n_trials.
 
     Entry i equals ``run_trial(TrialConfig.from_seed(params,
-    derive_seed(base_seed, i)))``, evaluated in vectorized form:
+    derive_seed(base_seed, i)))``, evaluated in vectorized form over an
+    output-major stream table (row 0 the u draws, row j + 1 the crisis
+    draws of batch j, one column per trial):
 
-    * stream output 0 -> initial consumption ``u = floor(unit * B)``,
-    * stream outputs 1.. -> per-batch crisis flags ``unit < p``,
-    * unit j of the horizon lands in batch ``(u + j) // B``, so an order
-      covering units [s, e] is recalled iff the prefix-sum of crisis flags
-      differs between batch (u+s)//B and batch (u+e)//B + 1.
+    * row 0 -> initial consumption ``u = floor(unit * B)``,
+    * rows 1.. -> crisis flags ``x < unit_threshold(p)``, the integer form of
+      the simulator's ``unit < p`` (every batch when p == 1),
+    * unit t of the horizon lands in batch ``(u + t) // B``; the recalled
+      quantity is reduced along the shorter of the order and batch axes
+      (see :func:`_order_axis_recalls` and :func:`_batch_axis_recalls`).
+
+    Trials are processed in chunks of at most about ``_CHUNK_OUTPUTS``
+    stream outputs, so memory stays bounded for any Q and n_trials; the
+    recalls are exact integers, so chunking cannot change them.
     """
     params = config.params
     o, b, q, p = (params.order_size, params.batch_size,
                   params.total_quantity, params.crisis_prob)
     n = config.n_trials
 
-    sizes = [o] * (q // o)
-    if q % o:
-        sizes.append(q % o)
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(sizes_arr)[:-1]))
-    ends = starts + sizes_arr - 1
-
     # widest horizon over all initial consumptions: ceil((q + b - 1) / b)
-    n_batches_max = (q + 2 * b - 2) // b
+    n_batches = (q + 2 * b - 2) // b
+    threshold = unit_threshold(p)
+    reduce_axis = _order_axis_recalls if o > b else _batch_axis_recalls
+    chunk = max(1, _CHUNK_OUTPUTS // (n_batches + 1))
+    recalls = np.empty(n, dtype=np.int64)
+    for first in range(0, n, chunk):
+        trials = np.arange(first, min(n, first + chunk), dtype=np.uint64)
+        x = stream_outputs(derive_seeds(config.base_seed, trials), n_batches + 1)
+        u = np.minimum((unit_floats(x[0]) * b).astype(np.int64), b - 1)
+        if threshold == 1 << 64:  # p == 1: every output is below it
+            crisis = np.ones((n_batches, len(trials)), dtype=bool)
+        else:
+            crisis = x[1:] < np.uint64(threshold)
+        del x
+        recalls[first:first + len(trials)] = reduce_axis(o, b, q, u, crisis)
+    return recalls
 
-    seeds = derive_seeds(config.base_seed, np.arange(n, dtype=np.uint64))
-    units = unit_floats(stream_outputs(seeds, n_batches_max + 1))
 
-    u = np.minimum((units[:, 0] * b).astype(np.int64), b - 1)
-    crisis = units[:, 1:] < p
+def _order_axis_recalls(o: int, b: int, q: int, u: np.ndarray,
+                        crisis: np.ndarray) -> np.ndarray:
+    """Recalls reduced order by order, for orders longer than batches.
 
-    crisis_prefix = np.zeros((n, n_batches_max + 1), dtype=np.int32)
-    np.cumsum(crisis, axis=1, dtype=np.int32, out=crisis_prefix[:, 1:])
+    Unit t lands in batch ``t // B`` when ``u < B - t % B`` and in the next
+    batch otherwise. So an order covering units [s, e] always touches
+    batches ``s//B + 1 .. e//B``, touches batch ``s//B`` iff
+    ``u < B - s % B`` and batch ``e//B + 1`` iff ``u >= B - e % B``. Each
+    order reads two rows of the crisis prefix sums and two crisis rows.
+    """
+    starts = np.arange(0, q, o, dtype=_sum_type(q))
+    ends = np.minimum(starts + o, q) - 1
+    head, tail = starts // b, ends // b + 1
+    prefix = np.zeros((crisis.shape[0] + 1, crisis.shape[1]), dtype=np.int32)
+    np.cumsum(crisis, axis=0, dtype=np.int32, out=prefix[1:])
+    touched = prefix[tail] > prefix[head + 1]
+    touched |= crisis[head] & (u < (b - starts % b)[:, None])
+    # tail is past the horizon only when ends % b == 0, where u >= b never holds
+    touched |= (crisis[np.minimum(tail, crisis.shape[0] - 1)]
+                & (u >= (b - ends % b)[:, None]))
+    return np.einsum("k,ki->i", ends - starts + 1, touched)
 
-    first_batch = (u[:, None] + starts[None, :]) // b
-    last_batch = (u[:, None] + ends[None, :]) // b
-    touched = (np.take_along_axis(crisis_prefix, last_batch + 1, axis=1)
-               - np.take_along_axis(crisis_prefix, first_batch, axis=1))
-    return ((touched > 0) * sizes_arr[None, :]).sum(axis=1, dtype=np.int64)
+
+def _batch_axis_recalls(o: int, b: int, q: int, u: np.ndarray,
+                        crisis: np.ndarray) -> np.ndarray:
+    """Recalls reduced batch by batch, for orders no longer than batches.
+
+    Every order then touches one batch or two adjacent ones, so by
+    inclusion-exclusion the recall is ``sum_j crisis_j * W_j(u) -
+    sum_j crisis_j * crisis_j+1 * S_j(u)``, with W_j the total size of the
+    orders touching batch j and S_j the size of the order straddling the
+    boundary between batches j and j + 1. W and S are tabulated over every
+    u in [0, B) when B is at most the chunk's trial count, else evaluated at
+    the drawn u, so they never exceed O(trials + Q) entries.
+    """
+    tabulate = b <= len(u)
+    touch, straddle = _batch_tables(o, b, q, crisis.shape[0],
+                                    np.arange(b) if tabulate else u)
+    if tabulate:
+        touch, straddle = np.take(touch, u, axis=1), np.take(straddle, u, axis=1)
+    both = crisis[:-1] & crisis[1:]
+    return (np.einsum("ji,ji->i", crisis, touch)
+            - np.einsum("ji,ji->i", both, straddle))
+
+
+def _batch_tables(o: int, b: int, q: int, n_batches: int,
+                  offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W_j and S_j of :func:`_batch_axis_recalls` for every batch j (rows)
+    and initial consumption in ``offsets`` (columns).
+
+    Batch j spans horizon units [c_j, c_j+1) with boundaries
+    ``c_j = clip(j*B - u, 0, Q)``. W_j runs from the start of the order
+    holding unit c_j to the end of the order holding unit c_j+1 - 1, and
+    S_j from the start of the order holding unit c_j+1 to the end of the
+    one holding c_j+1 - 1, which is 0 unless one order holds both.
+    """
+    unit = np.arange(q + 1, dtype=_sum_type(q))
+    into = unit % o
+    # start_of[c]: start of the order holding unit c (Q for c = Q);
+    # end_before[c]: end of the order holding unit c - 1 (0 for c = 0)
+    start_of = unit - into
+    start_of[q] = q
+    end_before = np.minimum(np.where(into, start_of + o, unit), q)
+    bounds = np.arange(0, (n_batches + 1) * b, b)[:, None] - offsets
+    np.clip(bounds, 0, q, out=bounds)
+    ends, starts = end_before[bounds], start_of[bounds]
+    return ends[1:] - starts[:-1], ends[1:-1] - starts[1:-1]
+
+
+def _sum_type(q: int) -> type:
+    """Integer type for recall sums up to twice the quantity q."""
+    return np.int32 if 2 * q < 2**31 else np.int64
 
 
 def estimate_recall(config: EstimateConfig) -> TrialEstimate:

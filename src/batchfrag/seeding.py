@@ -7,8 +7,11 @@ generator whose k-th output is a pure function of the seed::
 
 The counter form means a stream can be evaluated sequentially (``Stream``)
 or as a numpy array over many trials at once (``stream_outputs``), with
-bit-identical results. Uniform floats are the top 53 bits scaled by 2**-53,
-so scalar and vectorized paths agree exactly.
+bit-identical results, in any layout, order or chunking. The array form is
+output-major: row k holds output k of every seed, so one output of all
+trials is a contiguous row. Uniform floats are the top 53 bits scaled by
+2**-53, so scalar and vectorized paths agree exactly, and ``unit_float(x) <
+p`` can be decided on the raw output with the integer ``unit_threshold``.
 
 Per-trial stream layout used by the simulator:
 
@@ -23,6 +26,8 @@ subset of a sweep recomputes identically on its own.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -32,6 +37,10 @@ _MIX_C2 = 0x94D049BB133111EB
 
 # 2**-53; multiplying the top 53 bits by this gives a uniform float in [0, 1)
 _UNIT = 2.0**-53
+
+# Elements the array finalizer mixes per pass: a block and its scratch copy
+# (2 x 256 KiB) stay in a core's cache through all eight passes.
+_MIX_BLOCK = 1 << 15
 
 
 def mix64(z: int) -> int:
@@ -61,6 +70,17 @@ def derive_seed(base_seed: int, *components: int) -> int:
 def unit_float(x: int) -> float:
     """Map a 64-bit output to a uniform float in [0, 1)."""
     return (x >> 11) * _UNIT
+
+
+def unit_threshold(p: float) -> int:
+    """The integer form of the test ``unit_float(x) < p``, for p in [0, 1].
+
+    ``unit_float(x) < p`` holds exactly when ``x < unit_threshold(p)``,
+    because ``(x >> 11) * 2**-53 < p`` iff ``(x >> 11) < ceil(p * 2**53)``
+    (``p * 2**53`` is exact in floating point). The result is 2**64, above
+    every output, when p == 1.
+    """
+    return math.ceil(p * 2.0**53) << 11
 
 
 def below(x: int, n: int) -> int:
@@ -94,31 +114,40 @@ class Stream:
         self._k += count
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX_C1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX_C2)
-    z ^= z >> np.uint64(31)
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """Apply :func:`mix64` to every element of the contiguous uint64 ``z``,
+    in place, one cache-sized block at a time; returns ``z``."""
+    flat = z.reshape(-1)
+    scratch = np.empty(min(flat.size, _MIX_BLOCK), dtype=np.uint64)
+    for start in range(0, flat.size, _MIX_BLOCK):
+        block = flat[start:start + _MIX_BLOCK]
+        shifted = scratch[:block.size]
+        np.right_shift(block, np.uint64(30), out=shifted)
+        block ^= shifted
+        block *= np.uint64(_MIX_C1)
+        np.right_shift(block, np.uint64(27), out=shifted)
+        block ^= shifted
+        block *= np.uint64(_MIX_C2)
+        np.right_shift(block, np.uint64(31), out=shifted)
+        block ^= shifted
     return z
 
 
 def derive_seeds(base_seed: int, components: np.ndarray) -> np.ndarray:
     """Vectorized :func:`derive_seed` for one array of final components."""
     base = np.uint64((base_seed + _GOLDEN) & _MASK64)
-    return _mix64_array(base + components.astype(np.uint64))
+    return _mix64_inplace(base + components.astype(np.uint64, copy=False))
 
 
 def stream_outputs(seeds: np.ndarray, n_outputs: int, first: int = 0) -> np.ndarray:
-    """Outputs ``first .. first+n_outputs-1`` for every seed.
+    """Outputs ``first .. first+n_outputs-1`` for every seed, output-major.
 
-    Returns a (len(seeds), n_outputs) uint64 array; row i column j equals
+    Returns a (n_outputs, len(seeds)) uint64 array; row j column i equals
     ``stream_output(seeds[i], first + j)``.
     """
     ks = (np.arange(first + 1, first + n_outputs + 1, dtype=np.uint64)
           * np.uint64(_GOLDEN))
-    return _mix64_array(seeds.astype(np.uint64)[:, None] + ks[None, :])
+    return _mix64_inplace(np.add.outer(ks, seeds.astype(np.uint64, copy=False)))
 
 
 def unit_floats(x: np.ndarray) -> np.ndarray:

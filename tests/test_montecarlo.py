@@ -1,8 +1,13 @@
 """Monte Carlo harness: kernel parity, estimator algebra, sweep grids."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from batchfrag import montecarlo
 from batchfrag.model import (
     ModelParams,
     expected_recall_size,
@@ -41,6 +46,47 @@ class TestTrialRecalls:
         direct = [run_trial(TrialConfig.from_seed(params, derive_seed(77, i)))
                   for i in range(200)]
         assert vectorized == direct
+
+    @pytest.mark.parametrize("orders_longer", [True, False],
+                             ids=["order-axis", "batch-axis"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_single_trial_path_random(self, orders_longer, data):
+        """Parity on random cells, probabilities at and next to the 2**-53
+        grid of the crisis test, and chunk budgets down to one trial."""
+        q = data.draw(st.integers(2 if orders_longer else 1, 80), label="Q")
+        o = data.draw(st.integers(2 if orders_longer else 1, q), label="O")
+        b = data.draw(st.integers(1, o - 1) if orders_longer
+                      else st.integers(o, 120), label="B")
+        p = data.draw(st.one_of(
+            st.sampled_from([0.0, 1.0, 0.5]),
+            st.integers(0, 2**12).map(lambda k: k * 2.0**-53),
+            st.floats(0.0, 1.0)), label="p")
+        p = math.nextafter(p, data.draw(st.sampled_from([p, 0.0, 1.0])))
+        n = data.draw(st.integers(1, 40), label="n_trials")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        budget = data.draw(st.sampled_from([None, 1, 7, 64]), label="chunk")
+        params = ModelParams(o, b, q, p)
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(montecarlo, "_CHUNK_OUTPUTS", budget)
+            vectorized = trial_recalls(EstimateConfig(params, n, seed)).tolist()
+        direct = [run_trial(TrialConfig.from_seed(params, derive_seed(seed, i)))
+                  for i in range(n)]
+        assert vectorized == direct
+
+    def test_memory_bounded_at_large_quantity(self):
+        """Trials are processed in chunks, so the working set does not grow
+        with n_trials * Q (unchunked this cell would need about 8 GB)."""
+        config = EstimateConfig(ModelParams(1, 1, 20_000, 0.15), 10_000, 1)
+        tracemalloc.start()
+        try:
+            recalls = trial_recalls(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert recalls.shape == (10_000,)
+        assert peak < 128 * 2**20
 
     def test_bounded_by_quantity(self):
         config = EstimateConfig(ModelParams(9, 5, 47, 0.4), 500, 3)

@@ -14,6 +14,7 @@ from batchfrag.seeding import (
     stream_outputs,
     unit_float,
     unit_floats,
+    unit_threshold,
 )
 
 # First five outputs of the reference sequential generator, recomputed
@@ -51,14 +52,14 @@ class TestStreamOutput:
         seeds = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
         table = stream_outputs(seeds, 6)
         for i, seed in enumerate(seeds.tolist()):
-            assert table[i].tolist() == [stream_output(seed, k)
-                                         for k in range(6)]
+            assert table[:, i].tolist() == [stream_output(seed, k)
+                                            for k in range(6)]
 
     def test_first_offset(self):
         seeds = np.array([42], dtype=np.uint64)
         shifted = stream_outputs(seeds, 3, first=2)
-        assert shifted[0].tolist() == [stream_output(42, k)
-                                       for k in range(2, 5)]
+        assert shifted[:, 0].tolist() == [stream_output(42, k)
+                                          for k in range(2, 5)]
 
 
 class TestStream:
@@ -125,6 +126,25 @@ class TestUnitFloat:
         xs = np.array([0, 1 << 11, 2**64 - 1, 2**63], dtype=np.uint64)
         vec = unit_floats(xs)
         assert vec.tolist() == [unit_float(int(x)) for x in xs.tolist()]
+
+    @given(st.one_of(st.sampled_from([0.0, 1.0, 0.5, 2.0**-53]),
+                     st.integers(0, 2**53).map(lambda k: k * 2.0**-53),
+                     st.floats(0.0, 1.0)))
+    def test_threshold_matches_float_comparison(self, p):
+        """x < unit_threshold(p) decides unit_float(x) < p on both sides of
+        the threshold, for Python ints and for the uint64 array test."""
+        thr = unit_threshold(p)
+        for x in (thr - 1, thr, thr + 1):
+            if not 0 <= x < 2**64:
+                continue
+            assert (x < thr) == (unit_float(x) < p)
+            if thr < 2**64:
+                array_test = np.array([x], dtype=np.uint64) < np.uint64(thr)
+                assert bool(array_test[0]) == (unit_float(x) < p)
+
+    def test_threshold_extremes(self):
+        assert unit_threshold(0.0) == 0
+        assert unit_threshold(1.0) == 2**64
 
     @given(st.integers(min_value=0, max_value=2**64 - 1),
            st.integers(min_value=1, max_value=10**6))
