@@ -26,7 +26,6 @@ from .montecarlo import (
     EstimateConfig,
     SweepGrid,
     TrialEstimate,
-    crisis_prob_family,
     estimate_recall,
     sweep,
     trial_recalls,
@@ -72,7 +71,6 @@ __all__ = [
     "TrialEstimate",
     "Z95",
     "Z98",
-    "crisis_prob_family",
     "derive_seed",
     "derive_seeds",
     "estimate_recall",

@@ -33,7 +33,6 @@ from .report import (
     ReportSpec,
     render_outcome,
     render_summary,
-    write_summary,
     write_sweep,
     write_fragments_curve,
 )
@@ -230,11 +229,15 @@ def _cmd_sweep(opts: _Options) -> int:
     analytic_only = opts.flag("analytic-only")
     if opts.flag("divisors-only"):
         order_sizes = [o for o in order_sizes if quantity % o == 0]
-    for prob in probs:
+    paths = [out] if len(probs) == 1 else [_per_prob_path(out, p) for p in probs]
+    for i, path in enumerate(paths):
+        if path in paths[:i]:
+            raise UsageError(f"crisis probabilities {probs[paths.index(path)]!r}"
+                             f" and {probs[i]!r} would both write {path}")
+    for prob, path in zip(probs, paths):
         grid = sweep(quantity, prob, order_sizes, batch_sizes,
                      n_trials=n_trials, base_seed=seed,
                      include_simulation=not analytic_only)
-        path = out if len(probs) == 1 else _per_prob_path(out, prob)
         write_sweep(grid, ReportSpec(path, "long-csv"))
         print(f"wrote {path}")
         if grid.mean_abs_error_pct is not None:

@@ -8,18 +8,18 @@ sweep gives the cell for sizes (o, b) the base seed
 on its own with identical results. Recalled quantities are integers and
 are summed exactly, which makes every estimate independent of scheduling.
 
-For speed the trials of one estimate are evaluated as numpy array
-operations rather than through :func:`batchfrag.simulation.run_trial`
-objects. Both paths consume the same stream outputs and make the same
-decisions: the simulator compares ``unit_float(x) < p``, the kernel the
-exactly equivalent integer test ``x < unit_threshold(p)``, and both draw
-the initial consumption with the same float arithmetic. So they agree
-bit-for-bit; the test suite asserts that parity cell by cell.
+For speed the trials are evaluated as numpy array operations rather than
+through :func:`batchfrag.simulation.run_trial` objects, and a sweep
+evaluates all cells of one batch size together. Both paths consume the
+same stream outputs and make the same decisions: the simulator compares
+``unit_float(x) < p``, the kernel the exactly equivalent integer test
+``x < unit_threshold(p)``, and both draw the initial consumption with the
+same float arithmetic. So they agree bit-for-bit; the test suite asserts
+that parity cell by cell.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,16 +38,18 @@ __all__ = [
     "trial_recalls",
     "estimate_recall",
     "sweep",
-    "crisis_prob_family",
 ]
 
 # Normal-approximation critical values used for the reported half-widths.
 Z95 = 1.960
 Z98 = 2.326
 
-# Stream outputs per trial chunk of trial_recalls (32 MiB of uint64), which
-# bounds its working set whatever the quantity and trial count.
-_CHUNK_OUTPUTS = 1 << 22
+# Working set of one kernel chunk, in 8-byte words (1 MiB): a chunk column
+# takes n_batches + 1 stream outputs plus about ten words of per-column
+# vectors (seeds, draws, table indices, sums). Chunks this small stay close
+# to a core's cache, and memory does not grow with the trial count or the
+# grid. A sweep also gives each kernel call at most this many recalls.
+_CHUNK_OUTPUTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,14 @@ class EstimateConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_trials, int) or isinstance(self.n_trials, bool) \
-                or self.n_trials < 1:
-            raise InvalidParamsError(
-                f"n_trials must be a positive integer, got {self.n_trials!r}")
+        _check_trials(self.n_trials)
+
+
+def _check_trials(n_trials: int) -> None:
+    if not isinstance(n_trials, int) or isinstance(n_trials, bool) \
+            or n_trials < 1:
+        raise InvalidParamsError(
+            f"n_trials must be a positive integer, got {n_trials!r}")
 
 
 @dataclass(frozen=True)
@@ -106,69 +112,174 @@ def trial_recalls(config: EstimateConfig) -> np.ndarray:
     """Recalled quantity of every trial, as an int64 array of length n_trials.
 
     Entry i equals ``run_trial(TrialConfig.from_seed(params,
-    derive_seed(base_seed, i)))``, evaluated in vectorized form over an
-    output-major stream table (row 0 the u draws, row j + 1 the crisis
-    draws of batch j, one column per trial):
+    derive_seed(base_seed, i)))``. This is the one-cell case of the kernel
+    :func:`sweep` runs on every batch-size group (see :func:`_group_recalls`).
+    """
+    params = config.params
+    recalls = _group_recalls((params.order_size,), params.batch_size,
+                             params.total_quantity, params.crisis_prob,
+                             (config.base_seed,), config.n_trials)
+    return recalls[0].astype(np.int64)
+
+
+def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
+                   base_seeds: Sequence[int], n: int) -> np.ndarray:
+    """Recalls of n trials for each cell of one batch-size group.
+
+    The cells share (B, Q, p) and differ in order size (ascending) and base
+    seed; row c of the returned (cells, n) matrix (of ``_sum_type(q)``) is
+    ``trial_recalls`` of order size ``order_sizes[c]`` and base seed
+    ``base_seeds[c]``. Shared B and Q give every trial the same horizon, so
+    all trials of the group are evaluated on one output-major stream table
+    whose columns are (cell, trial) pairs, cell-major (row 0 the u draws,
+    row j + 1 the crisis draws of batch j):
 
     * row 0 -> initial consumption ``u = floor(unit * B)``,
     * rows 1.. -> crisis flags ``x < unit_threshold(p)``, the integer form of
       the simulator's ``unit < p`` (every batch when p == 1),
     * unit t of the horizon lands in batch ``(u + t) // B``; the recalled
-      quantity is reduced along the shorter of the order and batch axes
-      (see :func:`_order_axis_recalls` and :func:`_batch_axis_recalls`).
+      quantity is reduced along the shorter of the order and batch axes:
+      cells with O <= B (which come first) by :func:`_batch_axis_recalls`,
+      the rest by :func:`_order_axis_recalls`.
 
-    Trials are processed in chunks of at most about ``_CHUNK_OUTPUTS``
-    stream outputs, so memory stays bounded for any Q and n_trials; the
+    Columns are processed in chunks with a working set of about
+    ``_CHUNK_OUTPUTS`` words (more on horizons past 4096 batches): whole
+    cells at a time when a cell's trials fit, else part of one cell. Memory
+    beyond the result therefore grows with neither n nor the grid; the
     recalls are exact integers, so chunking cannot change them.
     """
-    params = config.params
-    o, b, q, p = (params.order_size, params.batch_size,
-                  params.total_quantity, params.crisis_prob)
-    n = config.n_trials
-
     # widest horizon over all initial consumptions: ceil((q + b - 1) / b)
     n_batches = (q + 2 * b - 2) // b
     threshold = unit_threshold(p)
-    reduce_axis = _order_axis_recalls if o > b else _batch_axis_recalls
-    chunk = max(1, _CHUNK_OUTPUTS // (n_batches + 1))
-    recalls = np.empty(n, dtype=np.int64)
-    for first in range(0, n, chunk):
-        trials = np.arange(first, min(n, first + chunk), dtype=np.uint64)
-        x = stream_outputs(derive_seeds(config.base_seed, trials), n_batches + 1)
-        u = np.minimum((unit_floats(x[0]) * b).astype(np.int64), b - 1)
-        if threshold == 1 << 64:  # p == 1: every output is below it
-            crisis = np.ones((n_batches, len(trials)), dtype=bool)
-        else:
-            crisis = x[1:] < np.uint64(threshold)
-        del x
-        recalls[first:first + len(trials)] = reduce_axis(o, b, q, u, crisis)
+    orders = np.array(order_sizes, dtype=np.int64)
+    bases = np.array([s % 2**64 for s in base_seeds], dtype=np.uint64)
+    split = int(np.searchsorted(orders, b, side="right"))
+    batch_axis = _batch_axis_tables(orders[:split], b, q, n_batches, n)
+    order_axis = _order_axis_tables(orders[split:], b, q)
+    # numpy's row-by-row passes (einsum, take, outer) need a few tens of
+    # columns to run at speed, so horizons past 4096 batches keep chunks
+    # _CHUNK_OUTPUTS / 4096 columns wide, and the table grows with Q instead
+    columns = max(1, _CHUNK_OUTPUTS // min(n_batches + 11, 4096))
+    cells_per_chunk, trials_per_chunk = max(1, columns // n), min(n, columns)
+    recalls = np.empty((len(orders), n), dtype=_sum_type(q))
+    for c0 in range(0, len(orders), cells_per_chunk):
+        c1 = min(len(orders), c0 + cells_per_chunk)
+        mid = min(max(c0, split), c1)  # cells [c0, mid) on the batch axis
+        for t0 in range(0, n, trials_per_chunk):
+            t1 = min(n, t0 + trials_per_chunk)
+            trials = np.arange(t0, t1, dtype=np.uint64)
+            x = stream_outputs(
+                derive_seeds(bases[c0:c1, None], trials).reshape(-1),
+                n_batches + 1)
+            u = np.minimum((unit_floats(x[0]) * b).astype(np.int64), b - 1)
+            if threshold == 1 << 64:  # p == 1: every output is below it
+                crisis = np.ones((n_batches, x.shape[1]), dtype=bool)
+            else:
+                crisis = x[1:] < np.uint64(threshold)
+            del x
+            k = (mid - c0) * (t1 - t0)
+            if mid > c0:
+                recalls[c0:mid, t0:t1] = _batch_axis_recalls(
+                    batch_axis, b, np.arange(c0, mid), u[:k],
+                    crisis[:, :k]).reshape(mid - c0, -1)
+            if c1 > mid:
+                recalls[mid:c1, t0:t1] = _order_axis_recalls(
+                    order_axis, mid - split, c1 - split, u[k:], crisis[:, k:])
     return recalls
 
 
-def _order_axis_recalls(o: int, b: int, q: int, u: np.ndarray,
-                        crisis: np.ndarray) -> np.ndarray:
+def _order_axis_tables(order_sizes: np.ndarray, b: int,
+                       q: int) -> tuple[np.ndarray, ...]:
+    """Every order of every cell in ``order_sizes``, cell by cell, for
+    :func:`_order_axis_recalls`: its size, its cell, the index of each
+    cell's first order (plus the total at the end), its first and last
+    batches ``s//B`` and ``e//B + 1``, and the u limits of those two."""
+    counts = -(-q // order_sizes)
+    first = np.zeros(len(order_sizes) + 1, dtype=np.int64)
+    np.cumsum(counts, out=first[1:])
+    cell = np.repeat(np.arange(len(order_sizes)), counts)
+    starts = ((np.arange(first[-1]) - first[cell])
+              * order_sizes[cell]).astype(_sum_type(q))
+    ends = np.minimum(starts + order_sizes[cell], q) - 1
+    return (ends - starts + 1, cell, first, starts // b, ends // b + 1,
+            b - starts % b, b - ends % b)
+
+
+def _order_axis_recalls(tables: tuple[np.ndarray, ...], lo: int, hi: int,
+                        u: np.ndarray, crisis: np.ndarray) -> np.ndarray:
     """Recalls reduced order by order, for orders longer than batches.
 
     Unit t lands in batch ``t // B`` when ``u < B - t % B`` and in the next
     batch otherwise. So an order covering units [s, e] always touches
     batches ``s//B + 1 .. e//B``, touches batch ``s//B`` iff
     ``u < B - s % B`` and batch ``e//B + 1`` iff ``u >= B - e % B``. Each
-    order reads two rows of the crisis prefix sums and two crisis rows.
+    order reads two rows of the crisis prefix sums and two crisis rows, in
+    its own cell's block of columns. ``u`` and ``crisis`` hold the columns
+    of cells [lo, hi) of ``tables``, cell-major; returns (hi - lo, trials).
     """
-    starts = np.arange(0, q, o, dtype=_sum_type(q))
-    ends = np.minimum(starts + o, q) - 1
-    head, tail = starts // b, ends // b + 1
-    prefix = np.zeros((crisis.shape[0] + 1, crisis.shape[1]), dtype=np.int32)
-    np.cumsum(crisis, axis=0, dtype=np.int32, out=prefix[1:])
-    touched = prefix[tail] > prefix[head + 1]
-    touched |= crisis[head] & (u < (b - starts % b)[:, None])
+    sizes, cell, first, head, tail, head_lim, tail_lim = tables
+    orders = slice(first[lo], first[hi])
+    cell, head, tail = cell[orders] - lo, head[orders], tail[orders]
+    prefix = _prefix_counts(crisis).reshape(len(crisis) + 1, hi - lo, -1)
+    crisis = crisis.reshape(len(crisis), hi - lo, -1)
+    u = u.reshape(hi - lo, -1)[cell]
+    touched = prefix[tail, cell] > prefix[head + 1, cell]
+    touched |= crisis[head, cell] & (u < head_lim[orders, None])
     # tail is past the horizon only when ends % b == 0, where u >= b never holds
-    touched |= (crisis[np.minimum(tail, crisis.shape[0] - 1)]
-                & (u >= (b - ends % b)[:, None]))
-    return np.einsum("k,ki->i", ends - starts + 1, touched)
+    touched |= (crisis[np.minimum(tail, len(crisis) - 1), cell]
+                & (u >= tail_lim[orders, None]))
+    sizes, bounds = sizes[orders], first[lo:hi + 1] - first[lo]
+    recalls = np.empty((hi - lo, touched.shape[1]), dtype=np.int64)
+    for c in range(hi - lo):
+        own = slice(bounds[c], bounds[c + 1])
+        recalls[c] = np.einsum("k,ki->i", sizes[own], touched[own])
+    return recalls
 
 
-def _batch_axis_recalls(o: int, b: int, q: int, u: np.ndarray,
+def _prefix_counts(crisis: np.ndarray) -> np.ndarray:
+    """Row j holds the number of crisis flags in rows 0 .. j-1, per column.
+
+    ``cumsum(axis=0)`` runs one strided loop per column, which is several
+    times slower than adding whole rows when rows are long; so rows are
+    added one at a time unless there are more rows than columns.
+    """
+    prefix = np.empty((len(crisis) + 1, crisis.shape[1]), dtype=np.int32)
+    prefix[0] = 0
+    if len(crisis) > crisis.shape[1]:
+        np.cumsum(crisis, axis=0, dtype=np.int32, out=prefix[1:])
+    else:
+        for j, row in enumerate(crisis):
+            np.add(prefix[j], row, out=prefix[j + 1])
+    return prefix
+
+
+def _batch_axis_tables(order_sizes: np.ndarray, b: int, q: int, n_batches: int,
+                       n: int) -> tuple[np.ndarray, ...]:
+    """Unit tables of every cell in ``order_sizes`` for
+    :func:`_batch_axis_recalls`, and W and S tabulated over every u in
+    [0, B) (columns cell * B + u) when B is at most the trial count n, else
+    None.
+
+    ``start_of[c, t]`` is the start of the order holding unit t (Q for
+    t = Q) and ``end_before[c, t]`` the end of the order holding unit
+    t - 1 (0 for t = 0), for cell c's order size.
+    """
+    unit = np.arange(q + 1, dtype=_sum_type(q))
+    o = order_sizes.astype(unit.dtype)[:, None]
+    into = unit % o
+    start_of = unit - into
+    start_of[:, q] = q
+    end_before = np.minimum(np.where(into, start_of + o, unit), q)
+    if b > n:
+        return start_of, end_before, None
+    return start_of, end_before, _batch_tables(
+        start_of, end_before, b, n_batches,
+        np.repeat(np.arange(len(order_sizes)), b),
+        np.tile(np.arange(b), len(order_sizes)))
+
+
+def _batch_axis_recalls(tables: tuple[np.ndarray, ...], b: int,
+                        cells: np.ndarray, u: np.ndarray,
                         crisis: np.ndarray) -> np.ndarray:
     """Recalls reduced batch by batch, for orders no longer than batches.
 
@@ -176,24 +287,30 @@ def _batch_axis_recalls(o: int, b: int, q: int, u: np.ndarray,
     inclusion-exclusion the recall is ``sum_j crisis_j * W_j(u) -
     sum_j crisis_j * crisis_j+1 * S_j(u)``, with W_j the total size of the
     orders touching batch j and S_j the size of the order straddling the
-    boundary between batches j and j + 1. W and S are tabulated over every
-    u in [0, B) when B is at most the chunk's trial count, else evaluated at
-    the drawn u, so they never exceed O(trials + Q) entries.
+    boundary between batches j and j + 1. ``u`` and ``crisis`` hold the
+    columns of ``cells``, cell-major. W and S are read from the tables
+    tabulated over u when there are some, else evaluated at the drawn u,
+    so they never exceed O(trials + cells * Q) entries.
     """
-    tabulate = b <= len(u)
-    touch, straddle = _batch_tables(o, b, q, crisis.shape[0],
-                                    np.arange(b) if tabulate else u)
-    if tabulate:
-        touch, straddle = np.take(touch, u, axis=1), np.take(straddle, u, axis=1)
+    start_of, end_before, tabulated = tables
+    if tabulated is not None:
+        at = ((cells * b)[:, None] + u.reshape(len(cells), -1)).reshape(-1)
+        touch, straddle = (np.take(t, at, axis=1) for t in tabulated)
+    else:
+        touch, straddle = _batch_tables(
+            start_of, end_before, b, crisis.shape[0],
+            np.repeat(cells, len(u) // len(cells)), u)
     both = crisis[:-1] & crisis[1:]
     return (np.einsum("ji,ji->i", crisis, touch)
             - np.einsum("ji,ji->i", both, straddle))
 
 
-def _batch_tables(o: int, b: int, q: int, n_batches: int,
+def _batch_tables(start_of: np.ndarray, end_before: np.ndarray, b: int,
+                  n_batches: int, cells: np.ndarray,
                   offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """W_j and S_j of :func:`_batch_axis_recalls` for every batch j (rows)
-    and initial consumption in ``offsets`` (columns).
+    and (cell, initial consumption) pair in ``cells`` and ``offsets``
+    (columns), from the unit tables of :func:`_batch_axis_tables`.
 
     Batch j spans horizon units [c_j, c_j+1) with boundaries
     ``c_j = clip(j*B - u, 0, Q)``. W_j runs from the start of the order
@@ -201,16 +318,11 @@ def _batch_tables(o: int, b: int, q: int, n_batches: int,
     S_j from the start of the order holding unit c_j+1 to the end of the
     one holding c_j+1 - 1, which is 0 unless one order holds both.
     """
-    unit = np.arange(q + 1, dtype=_sum_type(q))
-    into = unit % o
-    # start_of[c]: start of the order holding unit c (Q for c = Q);
-    # end_before[c]: end of the order holding unit c - 1 (0 for c = 0)
-    start_of = unit - into
-    start_of[q] = q
-    end_before = np.minimum(np.where(into, start_of + o, unit), q)
+    q = start_of.shape[1] - 1
     bounds = np.arange(0, (n_batches + 1) * b, b)[:, None] - offsets
     np.clip(bounds, 0, q, out=bounds)
-    ends, starts = end_before[bounds], start_of[bounds]
+    bounds += cells * (q + 1)
+    ends, starts = np.take(end_before, bounds), np.take(start_of, bounds)
     return ends[1:] - starts[:-1], ends[1:-1] - starts[1:-1]
 
 
@@ -219,26 +331,32 @@ def _sum_type(q: int) -> type:
     return np.int32 if 2 * q < 2**31 else np.int64
 
 
+def _summarize(recalls: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact int64 totals, means and sample standard errors of the mean of
+    each row of a (cells, n) recall matrix (standard error 0 when n = 1)."""
+    n = recalls.shape[1]
+    total = recalls.sum(axis=1, dtype=np.int64)
+    mean = total / n
+    if n == 1:
+        return total, mean, np.zeros_like(mean)
+    dev = recalls.astype(np.float64)
+    dev -= mean[:, None]
+    dev *= dev
+    return total, mean, np.sqrt(np.sum(dev, axis=1) / (n - 1) / n)
+
+
 def estimate_recall(config: EstimateConfig) -> TrialEstimate:
     """Run the configured trials and summarize the recalled quantities.
 
     Reports the sample standard error and the Z95/Z98 normal-approximation
     half-widths around the mean.
     """
-    recalls = trial_recalls(config)
-    n = config.n_trials
-    total = int(recalls.sum(dtype=np.int64))
-    mean = total / n
-    if n > 1:
-        dev = recalls.astype(np.float64) - mean
-        variance = float(np.sum(dev * dev)) / (n - 1)
-        std_error = math.sqrt(variance / n)
-    else:
-        std_error = 0.0
-    return TrialEstimate(mean_recall=mean, std_error=std_error,
+    total, mean, std_error = _summarize(trial_recalls(config)[None])
+    std_error = float(std_error[0])
+    return TrialEstimate(mean_recall=float(mean[0]), std_error=std_error,
                          ci95_half_width=Z95 * std_error,
                          ci98_half_width=Z98 * std_error,
-                         n_trials=n, total_recalled=total)
+                         n_trials=config.n_trials, total_recalled=int(total[0]))
 
 
 def _check_axis(name: str, values: Sequence[int], upper: int | None = None) -> tuple[int, ...]:
@@ -262,7 +380,9 @@ def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
 
     Always fills the analytic surface; with ``include_simulation`` each cell
     also gets a Monte Carlo estimate seeded from (base_seed, o, b) and the
-    grid-level mean absolute error as a percentage of the quantity.
+    grid-level mean absolute error as a percentage of the quantity. Each
+    cell's estimate equals ``estimate_recall`` of that cell alone; the
+    cells of one batch size are simulated together, in one kernel call.
     """
     orders = _check_axis("order_sizes", order_sizes, upper=int(quantity))
     batches = _check_axis("batch_sizes", batch_sizes)
@@ -277,28 +397,21 @@ def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
         return SweepGrid(total_quantity=int(quantity), crisis_prob=float(crisis_prob),
                          order_sizes=orders, batch_sizes=batches, analytic=analytic)
 
+    _check_trials(n_trials)
     sim_mean = np.empty_like(analytic)
     ci95 = np.empty_like(analytic)
-    for i, o in enumerate(orders):
-        for j, b in enumerate(batches):
-            params = ModelParams(o, b, quantity, crisis_prob)
-            est = estimate_recall(EstimateConfig(
-                params, n_trials=n_trials,
-                base_seed=derive_seed(base_seed, o, b)))
-            sim_mean[i, j] = est.mean_recall
-            ci95[i, j] = est.ci95_half_width
+    step = max(1, _CHUNK_OUTPUTS // n_trials)
+    for j, b in enumerate(batches):
+        for i in range(0, len(orders), step):
+            cells = orders[i:i + step]
+            recalls = _group_recalls(
+                cells, b, int(quantity), float(crisis_prob),
+                [derive_seed(base_seed, o, b) for o in cells], n_trials)
+            _, sim_mean[i:i + step, j], std_error = _summarize(recalls)
+            ci95[i:i + step, j] = Z95 * std_error
     abs_error = np.abs(analytic - sim_mean)
     return SweepGrid(total_quantity=int(quantity), crisis_prob=float(crisis_prob),
                      order_sizes=orders, batch_sizes=batches, analytic=analytic,
                      sim_mean=sim_mean, abs_error=abs_error, ci95_half_width=ci95,
                      mean_abs_error_pct=100.0 * float(abs_error.mean()) / quantity,
                      n_trials=n_trials, base_seed=base_seed)
-
-
-def crisis_prob_family(quantity: int, crisis_probs: Sequence[float],
-                       order_sizes: Sequence[int],
-                       batch_sizes: Sequence[int]) -> list[SweepGrid]:
-    """One analytic-only grid per crisis probability (same size axes)."""
-    return [sweep(quantity, p, order_sizes, batch_sizes,
-                  include_simulation=False)
-            for p in crisis_probs]

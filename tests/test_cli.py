@@ -1,10 +1,12 @@
 """Command-line interface: workflows, exit statuses, config handling."""
 
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
+from batchfrag import cli
 from batchfrag.cli import main
 
 
@@ -122,6 +124,23 @@ class TestSweep:
         for p in ("0.05", "0.15", "0.25"):
             assert (tmp_path / f"fam_p{p}.csv").exists()
 
+    @pytest.mark.parametrize("probs", ["0.15,15%", "0.1234561,0.1234564"])
+    def test_colliding_probability_paths_are_usage_error(
+            self, capsys, tmp_path, monkeypatch, probs):
+        """Probabilities that format alike would write one file twice."""
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was computed before the check")
+
+        monkeypatch.setattr(cli, "sweep", no_grid)
+        code, out, err = run_cli(capsys, "sweep", "-Q", "50", "--crisis-probs",
+                                 probs, "--order-range", "1:2",
+                                 "--batch-range", "1:2", "-n", "10",
+                                 "--out", str(tmp_path / "fam.csv"))
+        assert code == 2
+        assert "error:" in err and "fam_p" in err
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_divisors_only_filters_orders(self, capsys, tmp_path):
         path = tmp_path / "d.csv"
         code, _, _ = run_cli(capsys, "sweep", "-Q", "50", "-p", "0.15",
@@ -205,6 +224,30 @@ class TestValidate:
                              "--out", str(path))
         assert code == 0
         assert len(path.read_text().splitlines()) == 1 + 50 * 100 + 1
+
+
+class TestDeterminismGuard:
+    """Digests of stdout and of the --out file, pinned so that a kernel or
+    report change that moves any simulated figure or byte shows here."""
+
+    @pytest.mark.parametrize("argv,stdout_sha256,file_sha256", [
+        (["validate", "-n", "1000", "--seed", "0", "--out", "out.csv"],
+         "8e578a7066d7a22a5ea5dbeaa729e374828224fe21624b78cc60f74f49d0d40a",
+         "d51a35e71798944bd4a4610f7098d43df0583eefb570cb311c624e5036ec0860"),
+        (["sweep", "-Q", "60", "-p", "0.3", "--order-range", "1:20",
+          "--batch-range", "1:30", "-n", "200", "--seed", "7",
+          "--out", "out.csv"],
+         "3ff0607681fc91b70fa66ca01062d176bc5b21358ea8bb158693dc4639307764",
+         "293d9a44ac9ce1842bc6534c50c8b492ead4598ee4d5de37592e03e3871f2468"),
+    ], ids=["validate", "sweep"])
+    def test_output_digests(self, capsys, tmp_path, monkeypatch, argv,
+                            stdout_sha256, file_sha256):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+        assert (hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
+                == file_sha256)
 
 
 class TestFragments:

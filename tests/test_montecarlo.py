@@ -17,8 +17,6 @@ from batchfrag.montecarlo import (
     Z95,
     Z98,
     EstimateConfig,
-    SweepGrid,
-    crisis_prob_family,
     estimate_recall,
     sweep,
     trial_recalls,
@@ -180,6 +178,57 @@ class TestSweep:
         assert small.sim_mean[0, 0] == big.sim_mean[1, 1]
         assert small.ci95_half_width[0, 0] == big.ci95_half_width[1, 1]
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_cell_estimates_random(self, data):
+        """Simulating the cells of a batch size together changes no figure:
+        each cell equals estimate_recall of that cell alone, with groups
+        holding both O > B and O <= B, B > n, and chunk budgets that split
+        cells or span several."""
+        q = data.draw(st.integers(1, 80), label="Q")
+        orders = data.draw(st.lists(st.integers(1, q), min_size=1, max_size=6,
+                                    unique=True).map(sorted), label="orders")
+        batches = data.draw(st.lists(st.integers(1, 120), min_size=1,
+                                     max_size=4, unique=True), label="batches")
+        if len(orders) > 1:  # a batch size that splits the order sizes
+            batches.append(data.draw(st.integers(orders[0], orders[-1] - 1),
+                                     label="B between orders"))
+        batches = sorted(set(batches))
+        p = data.draw(st.one_of(
+            st.sampled_from([0.0, 1.0, 0.5]),
+            st.integers(0, 2**12).map(lambda k: k * 2.0**-53),
+            st.floats(0.0, 1.0)), label="p")
+        n = data.draw(st.integers(1, 40), label="n_trials")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        budget = data.draw(st.sampled_from([None, 1, 7, 64]), label="chunk")
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(montecarlo, "_CHUNK_OUTPUTS", budget)
+            grid = sweep(q, p, orders, batches, n_trials=n, base_seed=seed)
+        cells = [[estimate_recall(EstimateConfig(ModelParams(o, b, q, p), n,
+                                                 derive_seed(seed, o, b)))
+                  for b in batches] for o in orders]
+        mean = np.array([[e.mean_recall for e in row] for row in cells])
+        ci95 = np.array([[e.ci95_half_width for e in row] for row in cells])
+        assert np.array_equal(grid.sim_mean, mean)
+        assert np.array_equal(grid.ci95_half_width, ci95)
+        assert np.array_equal(grid.abs_error, np.abs(grid.analytic - mean))
+
+    def test_memory_bounded_for_a_batch_size_group(self):
+        """The cells of one batch size share a stream table that is built
+        chunk by chunk, so the group's working set does not grow with
+        cells * n_trials * Q (one table for the whole group would need
+        about 290 MB)."""
+        tracemalloc.start()
+        try:
+            grid = sweep(6000, 0.15, range(1, 4), [1], n_trials=2000,
+                         base_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.sim_mean.shape == (3, 1)
+        assert peak < 32 * 2**20
+
     def test_axis_validation(self):
         with pytest.raises(ValueError):
             sweep(50, 0.15, [], [1, 2])
@@ -221,23 +270,3 @@ class TestSweep:
                     ModelParams(o, b, 50, 0.15))
                 tolerance = 4 * max(se[i, j], 1e-9)
                 assert abs(grid.sim_mean[i, j] - exact) <= tolerance
-
-
-class TestCrisisProbFamily:
-    def test_one_grid_per_probability(self):
-        grids = crisis_prob_family(50, [0.0, 0.15, 0.5], range(1, 6),
-                                   range(1, 6))
-        assert [g.crisis_prob for g in grids] == [0.0, 0.15, 0.5]
-        assert all(isinstance(g, SweepGrid) for g in grids)
-        assert all(g.sim_mean is None for g in grids)
-
-    def test_zero_probability_grid_is_zero(self):
-        grids = crisis_prob_family(50, [0.0], range(1, 6), range(1, 6))
-        assert not grids[0].analytic.any()
-
-    def test_unit_order_row_is_flat_at_qp(self):
-        grids = crisis_prob_family(50, [0.05, 0.25], range(1, 6),
-                                   range(1, 20))
-        for g in grids:
-            np.testing.assert_array_equal(
-                g.analytic[0], np.full(19, 50 * g.crisis_prob))
