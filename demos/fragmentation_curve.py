@@ -12,7 +12,7 @@ expected-count curve across batch sizes 1..20 as CSV.
 import argparse
 
 from batchfrag import ModelParams, fragment_stats
-from batchfrag.report import ReportSpec, write_fragments_curve
+from batchfrag.report import write_fragments_curve
 
 
 def main() -> None:
@@ -34,7 +34,7 @@ def main() -> None:
     print("the 4-unit column is the worked case: 3 with prob 3/4, 4 with")
     print("prob 1/4, mean 3.25; large batches converge to a single fragment")
 
-    write_fragments_curve(o, range(1, 21), ReportSpec(args.out))
+    write_fragments_curve(o, range(1, 21), args.out)
     print(f"\nwrote {args.out} (batch_size,expected_fragments for B=1..20)")
 
 

@@ -9,8 +9,7 @@ grid runs in seconds; the reference configuration (orders 1..50, batches
 
 import argparse
 
-from batchfrag import sweep
-from batchfrag.report import ReportSpec, write_sweep
+from batchfrag import sweep, write_sweep
 
 
 def main() -> None:
@@ -35,7 +34,7 @@ def main() -> None:
     print(f"worst cell O={o}, B={b}: analytic {analytic:.3f} "
           f"vs simulated {sim:.3f} (|err| {err:.3f})")
 
-    write_sweep(grid, ReportSpec(args.out, "long-csv"))
+    write_sweep(grid, args.out)
     print(f"wrote {args.out}")
     print("\nreference run: batchfrag validate   (full grid, n=10000)")
 

@@ -19,35 +19,20 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .model import (
-    ModelParams,
-    expected_recall_size,
-    fragment_stats,
-    recall_limit_batch_inf,
-    recall_limit_order_inf,
-    recall_probability,
-    recall_probability_exact,
-)
+from .model import ModelParams, expected_recall_size
 from .montecarlo import Z95, EstimateConfig, estimate_recall, sweep
 from .report import (
-    ReportSpec,
+    render_analytic,
     render_outcome,
     render_summary,
-    write_sweep,
     write_fragments_curve,
+    write_sweep,
+    write_text,
 )
 from .seeding import derive_seed
 from .simulation import TrialConfig, run_trial_outcome
 
 __all__ = ["main", "build_parser"]
-
-# Flag names accepted in --config files (long names, dashes).
-_CONFIG_KEYS = frozenset({
-    "order-size", "batch-size", "quantity", "crisis-prob", "trials",
-    "seed", "out", "order-range", "batch-range", "crisis-probs",
-    "analytic-only", "divisors-only", "dump-trial",
-})
-
 
 class UsageError(Exception):
     """Bad flag or config input; maps to exit status 2."""
@@ -106,8 +91,9 @@ def _boolean(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
 
 
-def _read_config(path: str) -> dict[str, str]:
-    """Read ``key = value`` lines; ``#`` starts a comment line."""
+def _read_config(path: str, keys: frozenset[str]) -> dict[str, str]:
+    """Read ``key = value`` lines; ``#`` starts a comment line. Only the
+    given keys (the subcommand's long flag names) are accepted."""
     entries: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -119,7 +105,7 @@ def _read_config(path: str) -> dict[str, str]:
             if not sep or not key or not value:
                 raise UsageError(
                     f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
             entries[key] = value
     return entries
@@ -157,39 +143,16 @@ class _Options:
         )
 
 
-def _render_analytic(params: ModelParams, precision: int = 6) -> str:
-    stats = fragment_stats(params)
-    f = lambda v: f"{v:.{precision}f}"
-    lines = [
-        "analytic model",
-        f"  order_size            {params.order_size}",
-        f"  batch_size            {params.batch_size}",
-        f"  total_quantity        {params.total_quantity}",
-        f"  crisis_prob           {f(params.crisis_prob)}",
-        f"  fr_min                {stats.fr_min}",
-        f"  fr_max                {stats.fr_max}",
-        f"  p_fr_min              {f(float(stats.p_fr_min))} ({stats.p_fr_min})",
-        f"  p_fr_max              {f(float(stats.p_fr_max))} ({stats.p_fr_max})",
-        f"  expected_fragments    {f(float(stats.expected_fragments))}"
-        f" ({stats.expected_fragments})",
-        f"  recall_probability    {f(recall_probability(params))}",
-        f"  recall_prob_exact     {f(recall_probability_exact(params))}",
-        f"  expected_recall_size  {f(expected_recall_size(params))}",
-        f"  limit_batch_inf       "
-        f"{f(recall_limit_batch_inf(params.total_quantity, params.crisis_prob))}",
-        f"  limit_order_inf       "
-        f"{f(recall_limit_order_inf(params.total_quantity))}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_analytic(opts: _Options) -> int:
-    text = _render_analytic(opts.params())
+def _print_and_save(opts: _Options, text: str) -> None:
+    """Print a report and, when --out is set, also write it to that file."""
     sys.stdout.write(text)
     out = opts.get("out", str)
     if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text(out, text)
+
+
+def _cmd_analytic(opts: _Options) -> int:
+    _print_and_save(opts, render_analytic(opts.params()))
     return 0
 
 
@@ -203,11 +166,7 @@ def _cmd_simulate(opts: _Options) -> int:
     if opts.flag("dump-trial"):
         trial = TrialConfig.from_seed(params, derive_seed(seed, 0))
         text += "\n" + render_outcome(run_trial_outcome(trial))
-    sys.stdout.write(text)
-    out = opts.get("out", str)
-    if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _print_and_save(opts, text)
     return 0
 
 
@@ -238,7 +197,7 @@ def _cmd_sweep(opts: _Options) -> int:
         grid = sweep(quantity, prob, order_sizes, batch_sizes,
                      n_trials=n_trials, base_seed=seed,
                      include_simulation=not analytic_only)
-        write_sweep(grid, ReportSpec(path, "long-csv"))
+        write_sweep(grid, path)
         print(f"wrote {path}")
         if grid.mean_abs_error_pct is not None:
             print(f"mean_abs_error_pct {grid.mean_abs_error_pct:.6f}")
@@ -254,7 +213,7 @@ def _cmd_validate(opts: _Options) -> int:
                  n_trials=n_trials, base_seed=seed)
     out = opts.get("out", str)
     if out is not None:
-        write_sweep(grid, ReportSpec(out, "long-csv"))
+        write_sweep(grid, out)
 
     print(f"validation sweep  quantity={quantity} crisis_prob={prob:.6f}"
           f" orders=1..50 batches=1..100 trials={n_trials} seed={seed}")
@@ -286,16 +245,22 @@ def _cmd_fragments(opts: _Options) -> int:
     order_size = opts.get("order-size", _integer, required=True)
     batch_sizes = opts.get("batch-range", _int_range, required=True)
     out = opts.get("out", str, required=True)
-    write_fragments_curve(order_size, batch_sizes, ReportSpec(out))
+    write_fragments_curve(order_size, batch_sizes, out)
     print(f"wrote {out}")
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _finish(sub: argparse.ArgumentParser, func) -> None:
+    """Add the flags every subcommand shares, set its handler, and accept
+    in --config files exactly the long names of its other flags."""
     sub.add_argument("--config", metavar="PATH",
                      help="key = value file; flags take precedence")
     sub.add_argument("--version", action="version",
                      version=f"%(prog)s {__version__}")
+    keys = {s[2:] for action in sub._actions for s in action.option_strings
+            if s.startswith("--")}
+    sub.set_defaults(func=func, config_keys=frozenset(
+        keys - {"config", "version", "help"}))
 
 
 def _add_point_flags(sub: argparse.ArgumentParser) -> None:
@@ -324,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flags(analytic)
     analytic.add_argument("--out", metavar="PATH",
                           help="also write the report to a file")
-    _add_common(analytic)
-    analytic.set_defaults(func=_cmd_analytic)
+    _finish(analytic, _cmd_analytic)
 
     simulate = commands.add_parser(
         "simulate", help="Monte Carlo estimate at one point vs. closed form")
@@ -338,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="render the first trial's fulfillment")
     simulate.add_argument("--out", metavar="PATH",
                           help="also write the summary to a file")
-    _add_common(simulate)
-    simulate.set_defaults(func=_cmd_simulate)
+    _finish(simulate, _cmd_simulate)
 
     sweep_cmd = commands.add_parser(
         "sweep", help="grid of recall sizes over order/batch ranges")
@@ -361,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default=None,
                            help="keep only order sizes dividing the quantity")
     sweep_cmd.add_argument("--out", metavar="PATH", help="output CSV path")
-    _add_common(sweep_cmd)
-    sweep_cmd.set_defaults(func=_cmd_sweep)
+    _finish(sweep_cmd, _cmd_sweep)
 
     validate = commands.add_parser(
         "validate", help="rerun the reference validation sweep")
@@ -372,16 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="base seed (default 0)")
     validate.add_argument("--out", metavar="PATH",
                           help="also write the sweep CSV")
-    _add_common(validate)
-    validate.set_defaults(func=_cmd_validate)
+    _finish(validate, _cmd_validate)
 
     fragments = commands.add_parser(
         "fragments", help="expected-fragmentation curve for one order size")
     fragments.add_argument("-O", "--order-size", type=_integer, metavar="N")
     fragments.add_argument("--batch-range", type=_int_range, metavar="A:B")
     fragments.add_argument("--out", metavar="PATH", help="output CSV path")
-    _add_common(fragments)
-    fragments.set_defaults(func=_cmd_fragments)
+    _finish(fragments, _cmd_fragments)
 
     return parser
 
@@ -390,7 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _read_config(args.config) if args.config else {}
+        config = (_read_config(args.config, args.config_keys)
+                  if args.config else {})
         return args.func(_Options(args, config))
     except (UsageError, ValueError) as exc:  # InvalidParamsError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

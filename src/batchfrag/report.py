@@ -1,4 +1,5 @@
-"""Plain-text serialization of estimates, sweep grids, and curve data.
+"""Plain-text serialization of analytic reports, estimates, sweep grids,
+and curve data.
 
 Two CSV layouts are emitted for sweeps: a long form (one row per cell,
 the canonical interchange format) and a matrix form (one block per
@@ -9,19 +10,27 @@ run-dependent: identical inputs give byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .model import ModelParams, expected_fragments
+from .model import (
+    ModelParams,
+    expected_fragments,
+    expected_recall_size,
+    fragment_stats,
+    recall_limit_batch_inf,
+    recall_limit_order_inf,
+    recall_probability,
+    recall_probability_exact,
+)
 from .montecarlo import SweepGrid, TrialEstimate
 from .simulation import FulfillmentOutcome
 
 __all__ = [
-    "ReportSpec",
+    "write_text",
     "write_sweep",
     "write_fragments_curve",
-    "write_summary",
+    "render_analytic",
     "render_summary",
     "render_outcome",
 ]
@@ -29,58 +38,46 @@ __all__ = [
 LONG_CSV_HEADER = "order_size,batch_size,analytic_recall,sim_mean,abs_error,ci95_half_width"
 
 
-@dataclass(frozen=True)
-class ReportSpec:
-    """Where and how to write: format is one of grid-csv, long-csv,
-    summary-text; precision is the fixed-point decimal count."""
-
-    output_path: str | Path
-    format: str = "long-csv"
-    precision: int = 6
-
-    def __post_init__(self):
-        if self.format not in ("grid-csv", "long-csv", "summary-text"):
-            raise ValueError(f"unknown report format {self.format!r}")
-        if not 1 <= self.precision <= 15:
-            raise ValueError(f"precision must be in [1, 15], got {self.precision}")
+def _fmt(value: float) -> str:
+    """Fixed-point text with the six decimals every report uses."""
+    return f"{value:.6f}"
 
 
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}f}"
-
-
-def _write(path: str | Path, text: str) -> None:
+def write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8 with lone line feeds; every file
+    the package writes goes through here."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+    return Path(path)
 
 
-def _grid_comment(grid: SweepGrid, precision: int) -> str:
+def _grid_comment(grid: SweepGrid) -> str:
     n = "" if grid.n_trials is None else str(grid.n_trials)
     seed = "" if grid.base_seed is None else str(grid.base_seed)
     err = ("" if grid.mean_abs_error_pct is None
-           else _fmt(grid.mean_abs_error_pct, precision))
+           else _fmt(grid.mean_abs_error_pct))
     return (f"# quantity={grid.total_quantity}"
-            f" crisis_prob={_fmt(grid.crisis_prob, precision)}"
+            f" crisis_prob={_fmt(grid.crisis_prob)}"
             f" n_trials={n} base_seed={seed} mean_abs_error_pct={err}")
 
 
-def _render_long(grid: SweepGrid, precision: int) -> str:
+def _render_long(grid: SweepGrid) -> str:
     lines = [LONG_CSV_HEADER]
     simulated = grid.sim_mean is not None
     for i, o in enumerate(grid.order_sizes):
         for j, b in enumerate(grid.batch_sizes):
             if simulated:
-                tail = (f"{_fmt(grid.sim_mean[i, j], precision)},"
-                        f"{_fmt(grid.abs_error[i, j], precision)},"
-                        f"{_fmt(grid.ci95_half_width[i, j], precision)}")
+                tail = (f"{_fmt(grid.sim_mean[i, j])},"
+                        f"{_fmt(grid.abs_error[i, j])},"
+                        f"{_fmt(grid.ci95_half_width[i, j])}")
             else:
                 tail = ",,"
-            lines.append(f"{o},{b},{_fmt(grid.analytic[i, j], precision)},{tail}")
-    lines.append(_grid_comment(grid, precision))
+            lines.append(f"{o},{b},{_fmt(grid.analytic[i, j])},{tail}")
+    lines.append(_grid_comment(grid))
     return "\n".join(lines) + "\n"
 
 
-def _render_matrix(grid: SweepGrid, precision: int) -> str:
+def _render_matrix(grid: SweepGrid) -> str:
     metrics = [("analytic_recall", grid.analytic)]
     if grid.sim_mean is not None:
         metrics += [("sim_mean", grid.sim_mean),
@@ -92,78 +89,100 @@ def _render_matrix(grid: SweepGrid, precision: int) -> str:
         lines.append(f"# metric: {name}")
         lines.append(header)
         for i, o in enumerate(grid.order_sizes):
-            row = ",".join(_fmt(matrix[i, j], precision)
+            row = ",".join(_fmt(matrix[i, j])
                            for j in range(len(grid.batch_sizes)))
             lines.append(f"{o},{row}")
-    lines.append(_grid_comment(grid, precision))
+    lines.append(_grid_comment(grid))
     return "\n".join(lines) + "\n"
 
 
-def write_sweep(grid: SweepGrid, spec: ReportSpec) -> Path:
-    """Write a sweep grid as long-form or matrix-form CSV.
+def write_sweep(grid: SweepGrid, path: str | Path,
+                format: str = "long-csv") -> Path:
+    """Write a sweep grid as long-form (``long-csv``) or matrix-form
+    (``grid-csv``) CSV.
 
     Long form: the fixed header, one row per cell in order-size-major
     order (simulation columns left empty on analytic-only grids), and a
     trailing comment recording quantity, crisis probability, trial count,
     base seed, and the mean absolute error in percent of the quantity.
     """
-    if spec.format == "long-csv":
-        text = _render_long(grid, spec.precision)
-    elif spec.format == "grid-csv":
-        text = _render_matrix(grid, spec.precision)
+    if format == "long-csv":
+        text = _render_long(grid)
+    elif format == "grid-csv":
+        text = _render_matrix(grid)
     else:
-        raise ValueError("sweep reports require a CSV format, not summary-text")
-    _write(spec.output_path, text)
-    return Path(spec.output_path)
+        raise ValueError(f"unknown sweep format {format!r}; "
+                         "expected long-csv or grid-csv")
+    return write_text(path, text)
 
 
-def write_fragments_curve(order_size: int, batch_range: Sequence[int],
-                          spec: ReportSpec) -> Path:
+def write_fragments_curve(order_size: int, batch_sizes: Sequence[int],
+                          path: str | Path) -> Path:
     """Expected fragment count of one order size across batch sizes.
 
     Emits ``batch_size,expected_fragments`` rows, one per batch size.
     """
     lines = ["batch_size,expected_fragments"]
-    for b in batch_range:
+    for b in batch_sizes:
         fr = expected_fragments(ModelParams(order_size, b, order_size, 0.0))
-        lines.append(f"{b},{_fmt(float(fr), spec.precision)}")
-    _write(spec.output_path, "\n".join(lines) + "\n")
-    return Path(spec.output_path)
+        lines.append(f"{b},{_fmt(float(fr))}")
+    return write_text(path, "\n".join(lines) + "\n")
+
+
+def render_analytic(params: ModelParams) -> str:
+    """The closed-form quantities at one parameter point, with the exact
+    fractions of the fragment distribution next to their decimals."""
+    stats = fragment_stats(params)
+    q, p = params.total_quantity, params.crisis_prob
+    lines = [
+        "analytic model",
+        f"  order_size            {params.order_size}",
+        f"  batch_size            {params.batch_size}",
+        f"  total_quantity        {params.total_quantity}",
+        f"  crisis_prob           {_fmt(p)}",
+        f"  fr_min                {stats.fr_min}",
+        f"  fr_max                {stats.fr_max}",
+        f"  p_fr_min              {_fmt(float(stats.p_fr_min))}"
+        f" ({stats.p_fr_min})",
+        f"  p_fr_max              {_fmt(float(stats.p_fr_max))}"
+        f" ({stats.p_fr_max})",
+        f"  expected_fragments    {_fmt(float(stats.expected_fragments))}"
+        f" ({stats.expected_fragments})",
+        f"  recall_probability    {_fmt(recall_probability(params))}",
+        f"  recall_prob_exact     {_fmt(recall_probability_exact(params))}",
+        f"  expected_recall_size  {_fmt(expected_recall_size(params))}",
+        f"  limit_batch_inf       {_fmt(recall_limit_batch_inf(q, p))}",
+        f"  limit_order_inf       {_fmt(recall_limit_order_inf(q))}",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def render_summary(estimate: TrialEstimate, analytic: float,
-                   params: ModelParams, precision: int = 6) -> str:
+                   params: ModelParams) -> str:
     """Human-readable comparison of one estimate against the closed form.
 
     The percent deviation is relative to the total quantity, matching the
     sweep error metric.
     """
     dev = abs(estimate.mean_recall - analytic)
-    f = lambda v: _fmt(v, precision)
     lines = [
         "recall estimate",
         f"  order_size          {params.order_size}",
         f"  batch_size          {params.batch_size}",
         f"  total_quantity      {params.total_quantity}",
-        f"  crisis_prob         {f(params.crisis_prob)}",
+        f"  crisis_prob         {_fmt(params.crisis_prob)}",
         f"  n_trials            {estimate.n_trials}",
-        f"  analytic_recall     {f(analytic)}",
-        f"  simulated_mean      {f(estimate.mean_recall)}",
-        f"  std_error           {f(estimate.std_error)}",
-        f"  ci95                {f(estimate.mean_recall)} +/- {f(estimate.ci95_half_width)}",
-        f"  ci98                {f(estimate.mean_recall)} +/- {f(estimate.ci98_half_width)}",
-        f"  abs_deviation       {f(dev)}",
-        f"  pct_deviation_of_q  {f(100.0 * dev / params.total_quantity)}",
+        f"  analytic_recall     {_fmt(analytic)}",
+        f"  simulated_mean      {_fmt(estimate.mean_recall)}",
+        f"  std_error           {_fmt(estimate.std_error)}",
+        f"  ci95                {_fmt(estimate.mean_recall)}"
+        f" +/- {_fmt(estimate.ci95_half_width)}",
+        f"  ci98                {_fmt(estimate.mean_recall)}"
+        f" +/- {_fmt(estimate.ci98_half_width)}",
+        f"  abs_deviation       {_fmt(dev)}",
+        f"  pct_deviation_of_q  {_fmt(100.0 * dev / params.total_quantity)}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def write_summary(estimate: TrialEstimate, analytic: float, spec: ReportSpec,
-                  params: ModelParams) -> Path:
-    """Write :func:`render_summary` output to the configured path."""
-    _write(spec.output_path, render_summary(estimate, analytic, params,
-                                            spec.precision))
-    return Path(spec.output_path)
 
 
 def render_outcome(outcome: FulfillmentOutcome) -> str:

@@ -116,25 +116,22 @@ def generate_orders(params: ModelParams) -> list[Order]:
     return [Order(id=i, size=s) for i, s in enumerate(sizes)]
 
 
-def generate_batches(params: ModelParams, initial_consumption: int,
-                     stream: Stream) -> list[Batch]:
-    """Create just enough batches to cover the horizon.
+def generate_batches(config: TrialConfig, stream: Stream) -> list[Batch]:
+    """Create just enough batches to cover the trial's horizon.
 
-    ``ceil((Q + u) / B)`` batches of size B; batch 0 starts with
-    ``initial_consumption`` units already gone. Each batch's crisis flag is
-    an independent Bernoulli(crisis_prob) draw taken from ``stream`` in
-    batch-id order.
+    ``ceil((Q + u) / B)`` batches of size B; batch 0 starts with the
+    config's ``initial_consumption`` u already gone (``TrialConfig`` keeps
+    u in [0, B)). Each batch's crisis flag is an independent
+    Bernoulli(crisis_prob) draw taken from ``stream`` in batch-id order.
     """
+    params, u = config.params, config.initial_consumption
     q, b, p = params.total_quantity, params.batch_size, params.crisis_prob
-    if not 0 <= initial_consumption < b:
-        raise InvalidParamsError(
-            f"initial_consumption must be in [0, {b}), got {initial_consumption}")
-    n = -(-(q + initial_consumption) // b)
+    n = -(-(q + u) // b)
     batches = []
     for i in range(n):
         in_crisis = stream.next_unit() < p
         batches.append(Batch(id=i, size=b, in_crisis=in_crisis,
-                             consumed=initial_consumption if i == 0 else 0))
+                             consumed=u if i == 0 else 0))
     return batches
 
 
@@ -195,7 +192,7 @@ def run_trial_outcome(config: TrialConfig) -> FulfillmentOutcome:
     stream = Stream(config.rng_seed)
     stream.skip(1)
     orders = generate_orders(config.params)
-    batches = generate_batches(config.params, config.initial_consumption, stream)
+    batches = generate_batches(config, stream)
     return measure_recall(fifo_assign(orders, batches))
 
 

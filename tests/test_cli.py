@@ -167,6 +167,9 @@ class TestSweep:
         assert "error:" in err
 
 
+_POINT = "order-size = 10\nbatch-size = 4\nquantity = 50\ncrisis-prob = 0.15\n"
+
+
 class TestConfigFile:
     def test_config_supplies_missing_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -194,6 +197,26 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "analytic", "--config", str(cfg))
         assert code == 2
         assert "unknown option" in err
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("analytic", _POINT, "trials = lots"),
+        ("analytic", _POINT, "dump-trial = maybe"),
+        ("validate", "trials = 1000\n", "order-size = 10"),
+        ("fragments", "order-size = 10\nbatch-range = 1:3\nout = f.csv\n",
+         "seed = x"),
+    ], ids=["analytic-trials", "analytic-dump-trial", "validate-order-size",
+            "fragments-seed"])
+    def test_key_of_another_subcommand_is_usage_error(
+            self, capsys, tmp_path, monkeypatch, command, config, key):
+        """A config key is accepted only where the same flag is; the rest
+        of each file is a valid run of its subcommand."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + key + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"unknown option {key.split()[0]!r}" in err
 
     def test_missing_config_file_is_io_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "analytic", "--config",

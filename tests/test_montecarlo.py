@@ -1,5 +1,6 @@
 """Monte Carlo harness: kernel parity, estimator algebra, sweep grids."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -106,17 +107,26 @@ class TestEstimateRecall:
         assert 0.0 <= est.mean_recall <= 50.0
 
     def test_statistics_match_manual_recomputation(self):
-        config = EstimateConfig(ModelParams(7, 3, 40, 0.3), 2000, 4)
-        est = estimate_recall(config)
-        recalls = trial_recalls(config).astype(np.int64)
-        mean = int(recalls.sum()) / len(recalls)
-        dev = recalls.astype(np.float64) - mean
-        var = float(np.sum(dev * dev)) / (len(recalls) - 1)
-        se = (var / len(recalls)) ** 0.5
-        assert est.mean_recall == mean
-        assert est.std_error == se
-        assert est.ci95_half_width == Z95 * se
-        assert est.ci98_half_width == Z98 * se
+        """Mean, std_error and both half-widths to the last bit. std_error
+        is sqrt(sum of squared deviations / (n-1) / n); on this grid
+        dividing by n first rounds differently in some cells, so the
+        division order is pinned, not just the value."""
+        cells = [(7, 3, 40, 0.3, 2000, 4)] + [
+            (o, b, 50, 0.15, n, seed) for o, b, n, seed in itertools.product(
+                (1, 3, 10), (1, 4, 7), (2, 3, 10, 100, 1000), range(3))]
+        other_order = 0
+        for o, b, q, p, n, seed in cells:
+            config = EstimateConfig(ModelParams(o, b, q, p), n, seed)
+            est = estimate_recall(config)
+            recalls = trial_recalls(config)
+            mean = int(recalls.sum()) / n
+            squares = np.sum((recalls.astype(np.float64) - mean) ** 2)
+            se = math.sqrt(squares / (n - 1) / n)
+            assert (est.mean_recall, est.std_error) == (mean, se), config
+            assert est.ci95_half_width == Z95 * se
+            assert est.ci98_half_width == Z98 * se
+            other_order += math.sqrt(squares / n / (n - 1)) != se
+        assert other_order > 0
 
     def test_zero_probability_collapses(self):
         est = estimate_recall(EstimateConfig(ModelParams(10, 4, 50, 0.0),

@@ -8,11 +8,9 @@ from batchfrag.model import ModelParams, expected_recall_size
 from batchfrag.montecarlo import EstimateConfig, estimate_recall, sweep
 from batchfrag.report import (
     LONG_CSV_HEADER,
-    ReportSpec,
     render_outcome,
     render_summary,
     write_fragments_curve,
-    write_summary,
     write_sweep,
 )
 from batchfrag.simulation import TrialConfig, run_trial_outcome
@@ -28,21 +26,10 @@ def analytic_grid():
     return sweep(50, 0.15, range(1, 4), range(1, 6), include_simulation=False)
 
 
-class TestReportSpec:
-    def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            ReportSpec("x.csv", format="xml")
-
-    @pytest.mark.parametrize("precision", [0, 16, -1])
-    def test_rejects_precision_out_of_range(self, precision):
-        with pytest.raises(ValueError):
-            ReportSpec("x.csv", precision=precision)
-
-
 class TestLongCsv:
     def test_layout(self, small_grid, tmp_path):
         path = tmp_path / "grid.csv"
-        write_sweep(small_grid, ReportSpec(path, "long-csv"))
+        write_sweep(small_grid, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == LONG_CSV_HEADER
         assert len(lines) == 1 + 3 * 5 + 1
@@ -55,7 +42,7 @@ class TestLongCsv:
 
     def test_round_trip_to_precision(self, small_grid, tmp_path):
         path = tmp_path / "grid.csv"
-        write_sweep(small_grid, ReportSpec(path, "long-csv", precision=6))
+        write_sweep(small_grid, path)
         with open(path, encoding="utf-8") as fh:
             rows = [r for r in csv.DictReader(
                 (ln for ln in fh if not ln.startswith("#")))]
@@ -73,7 +60,7 @@ class TestLongCsv:
 
     def test_analytic_only_leaves_fields_empty(self, analytic_grid, tmp_path):
         path = tmp_path / "grid.csv"
-        write_sweep(analytic_grid, ReportSpec(path, "long-csv"))
+        write_sweep(analytic_grid, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         data_rows = lines[1:-1]
         assert all(ln.endswith(",,,") for ln in data_rows)
@@ -83,20 +70,28 @@ class TestLongCsv:
 
     def test_byte_identical_reruns(self, small_grid, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep(small_grid, ReportSpec(a, "long-csv"))
-        write_sweep(small_grid, ReportSpec(b, "long-csv"))
+        write_sweep(small_grid, a)
+        write_sweep(small_grid, b)
         assert a.read_bytes() == b.read_bytes()
         assert b"\r" not in a.read_bytes()
 
-    def test_rejects_summary_format(self, small_grid, tmp_path):
+    def test_rejects_unknown_format(self, small_grid, tmp_path):
+        path = tmp_path / "x.csv"
         with pytest.raises(ValueError):
-            write_sweep(small_grid, ReportSpec(tmp_path / "x", "summary-text"))
+            write_sweep(small_grid, path, format="xml")
+        assert not path.exists()
+
+    def test_rejects_summary_format(self, small_grid, tmp_path):
+        path = tmp_path / "x"
+        with pytest.raises(ValueError):
+            write_sweep(small_grid, path, format="summary-text")
+        assert not path.exists()
 
 
 class TestMatrixCsv:
     def test_one_block_per_metric(self, small_grid, tmp_path):
         path = tmp_path / "m.csv"
-        write_sweep(small_grid, ReportSpec(path, "grid-csv"))
+        write_sweep(small_grid, path, format="grid-csv")
         text = path.read_text(encoding="utf-8")
         for name in ("analytic_recall", "sim_mean", "abs_error",
                      "ci95_half_width"):
@@ -106,7 +101,7 @@ class TestMatrixCsv:
 
     def test_analytic_only_single_block(self, analytic_grid, tmp_path):
         path = tmp_path / "m.csv"
-        write_sweep(analytic_grid, ReportSpec(path, "grid-csv"))
+        write_sweep(analytic_grid, path, format="grid-csv")
         text = path.read_text(encoding="utf-8")
         assert text.count("# metric:") == 1
 
@@ -114,7 +109,7 @@ class TestMatrixCsv:
 class TestFragmentsCurve:
     def test_reference_curve_rows(self, tmp_path):
         path = tmp_path / "frag.csv"
-        write_fragments_curve(10, range(1, 21), ReportSpec(path))
+        write_fragments_curve(10, range(1, 21), path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "batch_size,expected_fragments"
         assert len(lines) == 21
@@ -126,7 +121,7 @@ class TestFragmentsCurve:
 
     def test_large_batch_row_near_one(self, tmp_path):
         path = tmp_path / "frag.csv"
-        write_fragments_curve(10, [10**6], ReportSpec(path))
+        write_fragments_curve(10, [10**6], path)
         value = float(path.read_text().splitlines()[1].split(",")[1])
         assert abs(value - 1.0) <= 1e-5
 
@@ -157,15 +152,6 @@ class TestSummary:
                     if ln.strip().startswith("abs_deviation"))
         assert float(line.split()[-1]) == pytest.approx(
             abs(est.mean_recall - analytic), abs=5e-7)
-
-    def test_write_summary_round_trip(self, tmp_path):
-        params = ModelParams(10, 4, 50, 0.15)
-        est = estimate_recall(EstimateConfig(params, 300, 5))
-        path = tmp_path / "summary.txt"
-        write_summary(est, expected_recall_size(params),
-                      ReportSpec(path, "summary-text"), params)
-        assert path.read_text(encoding="utf-8") == render_summary(
-            est, expected_recall_size(params), params)
 
 
 class TestRenderOutcome:

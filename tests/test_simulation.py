@@ -52,21 +52,22 @@ class TestGenerateBatches:
     def test_count_covers_quantity_plus_consumption(self):
         params = make_params(o=10, b=4, q=50)
         for u in range(4):
-            batches = generate_batches(params, u, Stream(0))
+            batches = generate_batches(TrialConfig(params, u, 0), Stream(0))
             assert len(batches) == -(-(50 + u) // 4)
             assert batches[0].consumed == u
             assert all(b.consumed == 0 for b in batches[1:])
             assert all(b.size == 4 for b in batches)
 
     def test_crisis_flags_extreme_probabilities(self):
-        no = generate_batches(make_params(p=0.0), 0, Stream(5))
+        no = generate_batches(TrialConfig(make_params(p=0.0), 0, 5), Stream(5))
         assert not any(b.in_crisis for b in no)
-        all_ = generate_batches(make_params(p=1.0), 0, Stream(5))
+        all_ = generate_batches(TrialConfig(make_params(p=1.0), 0, 5), Stream(5))
         assert all(b.in_crisis for b in all_)
 
     def test_rejects_out_of_range_consumption(self):
+        """The TrialConfig that generate_batches takes cannot hold u >= B."""
         with pytest.raises(InvalidParamsError):
-            generate_batches(make_params(b=4), 4, Stream(0))
+            generate_batches(TrialConfig(make_params(b=4), 4, 0), Stream(0))
 
 
 class TestFifoAssign:
