@@ -91,10 +91,16 @@ def _boolean(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
 
 
-def _read_config(path: str, keys: frozenset[str]) -> dict[str, str]:
-    """Read ``key = value`` lines; ``#`` starts a comment line. Only the
-    given keys (the subcommand's long flag names) are accepted."""
-    entries: dict[str, str] = {}
+def _read_config(path: str,
+                 sub: argparse.ArgumentParser) -> dict[str, object]:
+    """Read ``key = value`` lines; ``#`` starts a comment line. Keys are the
+    long names of the subcommand's own flags, and each value goes through
+    that flag's parser (``_boolean`` for on/off flags). Returns the values
+    by flag ``dest``, ready for ``set_defaults``."""
+    actions = {s[2:]: action for action in sub._actions
+               for s in action.option_strings if s.startswith("--")
+               and action.dest not in ("config", "version", "help")}
+    entries: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -105,68 +111,54 @@ def _read_config(path: str, keys: frozenset[str]) -> dict[str, str]:
             if not sep or not key or not value:
                 raise UsageError(
                     f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            if key not in keys:
+            if key not in actions:
                 raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-            entries[key] = value
+            action = actions[key]
+            convert = _boolean if action.nargs == 0 else action.type or str
+            try:
+                entries[action.dest] = convert(value)
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"config option {key}: {exc}") from exc
     return entries
 
 
-class _Options:
-    """Flag values merged over config-file values; flags win."""
-
-    def __init__(self, args: argparse.Namespace, config: dict[str, str]):
-        self._args = args
-        self._config = config
-
-    def get(self, name, convert, default=None, required=False):
-        value = getattr(self._args, name.replace("-", "_"), None)
-        if value is None and name in self._config:
-            try:
-                value = convert(self._config[name])
-            except argparse.ArgumentTypeError as exc:
-                raise UsageError(f"config option {name}: {exc}") from exc
-        if value is None:
-            if required:
-                raise UsageError(f"missing required option --{name}")
-            value = default
-        return value
-
-    def flag(self, name: str) -> bool:
-        return bool(self.get(name, _boolean, default=False))
-
-    def params(self) -> ModelParams:
-        return ModelParams(
-            order_size=self.get("order-size", _integer, required=True),
-            batch_size=self.get("batch-size", _integer, required=True),
-            total_quantity=self.get("quantity", _integer, required=True),
-            crisis_prob=self.get("crisis-prob", _probability, required=True),
-        )
+def _required(args: argparse.Namespace, name: str):
+    value = getattr(args, name.replace("-", "_"))
+    if value is None:
+        raise UsageError(f"missing required option --{name}")
+    return value
 
 
-def _print_and_save(opts: _Options, text: str) -> None:
+def _params(args: argparse.Namespace) -> ModelParams:
+    return ModelParams(
+        order_size=_required(args, "order-size"),
+        batch_size=_required(args, "batch-size"),
+        total_quantity=_required(args, "quantity"),
+        crisis_prob=_required(args, "crisis-prob"),
+    )
+
+
+def _print_and_save(args: argparse.Namespace, text: str) -> None:
     """Print a report and, when --out is set, also write it to that file."""
     sys.stdout.write(text)
-    out = opts.get("out", str)
-    if out is not None:
-        write_text(out, text)
+    if args.out is not None:
+        write_text(args.out, text)
 
 
-def _cmd_analytic(opts: _Options) -> int:
-    _print_and_save(opts, render_analytic(opts.params()))
+def _cmd_analytic(args: argparse.Namespace) -> int:
+    _print_and_save(args, render_analytic(_params(args)))
     return 0
 
 
-def _cmd_simulate(opts: _Options) -> int:
-    params = opts.params()
-    n_trials = opts.get("trials", _integer, default=10_000)
-    seed = opts.get("seed", _integer, default=0)
-    estimate = estimate_recall(EstimateConfig(params, n_trials, seed))
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    params = _params(args)
+    estimate = estimate_recall(EstimateConfig(params, args.trials, args.seed))
     analytic = expected_recall_size(params)
     text = render_summary(estimate, analytic, params)
-    if opts.flag("dump-trial"):
-        trial = TrialConfig.from_seed(params, derive_seed(seed, 0))
+    if args.dump_trial:
+        trial = TrialConfig.from_seed(params, derive_seed(args.seed, 0))
         text += "\n" + render_outcome(run_trial_outcome(trial))
-    _print_and_save(opts, text)
+    _print_and_save(args, text)
     return 0
 
 
@@ -175,18 +167,13 @@ def _per_prob_path(out: str, prob: float) -> str:
     return str(path.with_name(f"{path.stem}_p{prob:g}{path.suffix}"))
 
 
-def _cmd_sweep(opts: _Options) -> int:
-    quantity = opts.get("quantity", _integer, required=True)
-    probs = opts.get("crisis-probs", _probability_list)
-    if probs is None:
-        probs = [opts.get("crisis-prob", _probability, required=True)]
-    order_sizes = opts.get("order-range", _int_range, required=True)
-    batch_sizes = opts.get("batch-range", _int_range, required=True)
-    out = opts.get("out", str, required=True)
-    n_trials = opts.get("trials", _integer, default=10_000)
-    seed = opts.get("seed", _integer, default=0)
-    analytic_only = opts.flag("analytic-only")
-    if opts.flag("divisors-only"):
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    quantity = _required(args, "quantity")
+    probs = args.crisis_probs or [_required(args, "crisis-prob")]
+    order_sizes = _required(args, "order-range")
+    batch_sizes = _required(args, "batch-range")
+    out = _required(args, "out")
+    if args.divisors_only:
         order_sizes = [o for o in order_sizes if quantity % o == 0]
     paths = [out] if len(probs) == 1 else [_per_prob_path(out, p) for p in probs]
     for i, path in enumerate(paths):
@@ -195,8 +182,8 @@ def _cmd_sweep(opts: _Options) -> int:
                              f" and {probs[i]!r} would both write {path}")
     for prob, path in zip(probs, paths):
         grid = sweep(quantity, prob, order_sizes, batch_sizes,
-                     n_trials=n_trials, base_seed=seed,
-                     include_simulation=not analytic_only)
+                     n_trials=args.trials, base_seed=args.seed,
+                     include_simulation=not args.analytic_only)
         write_sweep(grid, path)
         print(f"wrote {path}")
         if grid.mean_abs_error_pct is not None:
@@ -204,16 +191,14 @@ def _cmd_sweep(opts: _Options) -> int:
     return 0
 
 
-def _cmd_validate(opts: _Options) -> int:
-    n_trials = opts.get("trials", _integer, default=10_000)
-    seed = opts.get("seed", _integer, default=0)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    n_trials, seed = args.trials, args.seed
     quantity, prob = 50, 0.15
     order_sizes, batch_sizes = range(1, 51), range(1, 101)
     grid = sweep(quantity, prob, order_sizes, batch_sizes,
                  n_trials=n_trials, base_seed=seed)
-    out = opts.get("out", str)
-    if out is not None:
-        write_sweep(grid, out)
+    if args.out is not None:
+        write_sweep(grid, args.out)
 
     print(f"validation sweep  quantity={quantity} crisis_prob={prob:.6f}"
           f" orders=1..50 batches=1..100 trials={n_trials} seed={seed}")
@@ -241,26 +226,23 @@ def _cmd_validate(opts: _Options) -> int:
     return 0 if ok else 3
 
 
-def _cmd_fragments(opts: _Options) -> int:
-    order_size = opts.get("order-size", _integer, required=True)
-    batch_sizes = opts.get("batch-range", _int_range, required=True)
-    out = opts.get("out", str, required=True)
+def _cmd_fragments(args: argparse.Namespace) -> int:
+    order_size = _required(args, "order-size")
+    batch_sizes = _required(args, "batch-range")
+    out = _required(args, "out")
     write_fragments_curve(order_size, batch_sizes, out)
     print(f"wrote {out}")
     return 0
 
 
 def _finish(sub: argparse.ArgumentParser, func) -> None:
-    """Add the flags every subcommand shares, set its handler, and accept
-    in --config files exactly the long names of its other flags."""
+    """Add the flags every subcommand shares and set its handler; the
+    subparser itself is kept so that ``main`` can apply a --config file."""
     sub.add_argument("--config", metavar="PATH",
                      help="key = value file; flags take precedence")
     sub.add_argument("--version", action="version",
                      version=f"%(prog)s {__version__}")
-    keys = {s[2:] for action in sub._actions for s in action.option_strings
-            if s.startswith("--")}
-    sub.set_defaults(func=func, config_keys=frozenset(
-        keys - {"config", "version", "help"}))
+    sub.set_defaults(func=func, subparser=sub)
 
 
 def _add_point_flags(sub: argparse.ArgumentParser) -> None:
@@ -294,11 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = commands.add_parser(
         "simulate", help="Monte Carlo estimate at one point vs. closed form")
     _add_point_flags(simulate)
-    simulate.add_argument("-n", "--trials", type=_integer, metavar="N",
-                          help="trial count (default 10000)")
-    simulate.add_argument("--seed", type=_integer, metavar="N",
-                          help="base seed (default 0)")
-    simulate.add_argument("--dump-trial", action="store_true", default=None,
+    simulate.add_argument("-n", "--trials", type=_integer, default=10_000,
+                          metavar="N",
+                          help="trial count (default %(default)s)")
+    simulate.add_argument("--seed", type=_integer, default=0, metavar="N",
+                          help="base seed (default %(default)s)")
+    simulate.add_argument("--dump-trial", action="store_true",
                           help="render the first trial's fulfillment")
     simulate.add_argument("--out", metavar="PATH",
                           help="also write the summary to a file")
@@ -316,22 +299,25 @@ def build_parser() -> argparse.ArgumentParser:
                            help="inclusive order-size range")
     sweep_cmd.add_argument("--batch-range", type=_int_range, metavar="A:B",
                            help="inclusive batch-size range")
-    sweep_cmd.add_argument("-n", "--trials", type=_integer, metavar="N")
-    sweep_cmd.add_argument("--seed", type=_integer, metavar="N")
+    sweep_cmd.add_argument("-n", "--trials", type=_integer, default=10_000,
+                           metavar="N",
+                           help="trials per cell (default %(default)s)")
+    sweep_cmd.add_argument("--seed", type=_integer, default=0, metavar="N",
+                           help="base seed (default %(default)s)")
     sweep_cmd.add_argument("--analytic-only", action="store_true",
-                           default=None, help="skip the simulation columns")
+                           help="skip the simulation columns")
     sweep_cmd.add_argument("--divisors-only", action="store_true",
-                           default=None,
                            help="keep only order sizes dividing the quantity")
     sweep_cmd.add_argument("--out", metavar="PATH", help="output CSV path")
     _finish(sweep_cmd, _cmd_sweep)
 
     validate = commands.add_parser(
         "validate", help="rerun the reference validation sweep")
-    validate.add_argument("-n", "--trials", type=_integer, metavar="N",
-                          help="trials per cell (default 10000)")
-    validate.add_argument("--seed", type=_integer, metavar="N",
-                          help="base seed (default 0)")
+    validate.add_argument("-n", "--trials", type=_integer, default=10_000,
+                          metavar="N",
+                          help="trials per cell (default %(default)s)")
+    validate.add_argument("--seed", type=_integer, default=0, metavar="N",
+                          help="base seed (default %(default)s)")
     validate.add_argument("--out", metavar="PATH",
                           help="also write the sweep CSV")
     _finish(validate, _cmd_validate)
@@ -350,9 +336,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = (_read_config(args.config, args.config_keys)
-                  if args.config else {})
-        return args.func(_Options(args, config))
+        if args.config:
+            # File values become the subcommand's defaults, so flags still win.
+            args.subparser.set_defaults(
+                **_read_config(args.config, args.subparser))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except (UsageError, ValueError) as exc:  # InvalidParamsError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,13 +5,14 @@ generator whose k-th output is a pure function of the seed::
 
     output(seed, k) = finalize(seed + (k + 1) * GOLDEN)   (mod 2**64)
 
-The counter form means a stream can be evaluated sequentially (``Stream``)
-or as a numpy array over many trials at once (``stream_outputs``), with
-bit-identical results, in any layout, order or chunking. The array form is
-output-major: row k holds output k of every seed, so one output of all
-trials is a contiguous row. Uniform floats are the top 53 bits scaled by
-2**-53, so scalar and vectorized paths agree exactly, and ``unit_float(x) <
-p`` can be decided on the raw output with the integer ``unit_threshold``.
+The counter form means a stream can be evaluated one output at a time
+(``stream_output``) or as a numpy array over many trials at once
+(``stream_outputs``), with bit-identical results, in any layout, order or
+chunking. The array form is output-major: row k holds output k of every
+seed, so one output of all trials is a contiguous row. Uniform floats are
+the top 53 bits scaled by 2**-53, so scalar and vectorized paths agree
+exactly, and ``unit_float(x) < p`` can be decided on the raw output with
+the integer ``unit_threshold``.
 
 Per-trial stream layout used by the simulator:
 
@@ -88,32 +89,6 @@ def below(x: int, n: int) -> int:
     return min(int(unit_float(x) * n), n - 1)
 
 
-class Stream:
-    """Sequential view of a SplitMix64 stream.
-
-    ``next_u64`` returns outputs 0, 1, 2, ... of :func:`stream_output` in
-    order; ``skip`` advances past outputs without using them.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-        self._k = 0
-
-    def next_u64(self) -> int:
-        x = stream_output(self.seed, self._k)
-        self._k += 1
-        return x
-
-    def next_unit(self) -> float:
-        return unit_float(self.next_u64())
-
-    def next_below(self, n: int) -> int:
-        return below(self.next_u64(), n)
-
-    def skip(self, count: int = 1) -> None:
-        self._k += count
-
-
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     """Apply :func:`mix64` to every element of the contiguous uint64 ``z``,
     in place, one cache-sized block at a time; returns ``z``."""
@@ -148,14 +123,13 @@ def derive_seeds(base_seed: int | np.ndarray,
     return _mix64_inplace(base + components.astype(np.uint64, copy=False))
 
 
-def stream_outputs(seeds: np.ndarray, n_outputs: int, first: int = 0) -> np.ndarray:
-    """Outputs ``first .. first+n_outputs-1`` for every seed, output-major.
+def stream_outputs(seeds: np.ndarray, n_outputs: int) -> np.ndarray:
+    """Outputs ``0 .. n_outputs-1`` for every seed, output-major.
 
     Returns a (n_outputs, len(seeds)) uint64 array; row j column i equals
-    ``stream_output(seeds[i], first + j)``.
+    ``stream_output(seeds[i], j)``.
     """
-    ks = (np.arange(first + 1, first + n_outputs + 1, dtype=np.uint64)
-          * np.uint64(_GOLDEN))
+    ks = np.arange(1, n_outputs + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     return _mix64_inplace(np.add.outer(ks, seeds.astype(np.uint64, copy=False)))
 
 

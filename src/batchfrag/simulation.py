@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .model import InvalidParamsError, ModelParams
-from .seeding import Stream
+from .seeding import below, stream_output, unit_float
 
 __all__ = [
     "Batch",
@@ -93,12 +93,9 @@ class TrialConfig:
 
     @classmethod
     def from_seed(cls, params: ModelParams, rng_seed: int) -> "TrialConfig":
-        """Draw the initial consumption uniformly from the trial stream.
-
-        Consumes output 0 of the stream, matching the layout
-        :func:`run_trial` assumes.
-        """
-        u = Stream(rng_seed).next_below(params.batch_size)
+        """Draw the initial consumption uniformly from output 0 of the trial
+        stream, matching the layout :func:`run_trial` assumes."""
+        u = below(stream_output(rng_seed, 0), params.batch_size)
         return cls(params=params, initial_consumption=u, rng_seed=rng_seed)
 
 
@@ -116,22 +113,23 @@ def generate_orders(params: ModelParams) -> list[Order]:
     return [Order(id=i, size=s) for i, s in enumerate(sizes)]
 
 
-def generate_batches(config: TrialConfig, stream: Stream) -> list[Batch]:
+def generate_batches(config: TrialConfig) -> list[Batch]:
     """Create just enough batches to cover the trial's horizon.
 
     ``ceil((Q + u) / B)`` batches of size B; batch 0 starts with the
     config's ``initial_consumption`` u already gone (``TrialConfig`` keeps
-    u in [0, B)). Each batch's crisis flag is an independent
-    Bernoulli(crisis_prob) draw taken from ``stream`` in batch-id order.
+    u in [0, B)). Batch j's crisis flag is the independent
+    Bernoulli(crisis_prob) draw ``unit_float(stream_output(seed, 1 + j)) < p``
+    on the config's ``rng_seed``.
     """
     params, u = config.params, config.initial_consumption
     q, b, p = params.total_quantity, params.batch_size, params.crisis_prob
     n = -(-(q + u) // b)
     batches = []
-    for i in range(n):
-        in_crisis = stream.next_unit() < p
-        batches.append(Batch(id=i, size=b, in_crisis=in_crisis,
-                             consumed=u if i == 0 else 0))
+    for j in range(n):
+        in_crisis = unit_float(stream_output(config.rng_seed, 1 + j)) < p
+        batches.append(Batch(id=j, size=b, in_crisis=in_crisis,
+                             consumed=u if j == 0 else 0))
     return batches
 
 
@@ -185,14 +183,12 @@ def measure_recall(outcome: FulfillmentOutcome) -> FulfillmentOutcome:
 def run_trial_outcome(config: TrialConfig) -> FulfillmentOutcome:
     """One full trial, returning the measured outcome.
 
-    Output 0 of the trial stream is always skipped (reserved for the
-    initial-consumption draw whether or not the caller used
-    :meth:`TrialConfig.from_seed`), so crisis flags start at output 1.
+    Output 0 of the trial stream is reserved for the initial-consumption
+    draw whether or not the caller used :meth:`TrialConfig.from_seed`, so
+    crisis flags start at output 1.
     """
-    stream = Stream(config.rng_seed)
-    stream.skip(1)
     orders = generate_orders(config.params)
-    batches = generate_batches(config, stream)
+    batches = generate_batches(config)
     return measure_recall(fifo_assign(orders, batches))
 
 

@@ -231,6 +231,25 @@ class TestConfigFile:
         assert code == 2
         assert "crisis-prob" in err
 
+    @pytest.mark.parametrize("command, config, flags", [
+        ("sweep", "crisis-prob = 2\n",
+         ["--crisis-probs", "0.1,0.2", "-Q", "30", "--order-range", "1:2",
+          "--batch-range", "1:2", "--analytic-only", "--out", "s.csv"]),
+        ("analytic", _POINT.replace("0.15", "1.5"), ["-p", "0.2"]),
+    ], ids=["sweep-crisis-probs", "analytic-crisis-prob"])
+    def test_bad_config_value_under_a_flag_is_usage_error(
+            self, capsys, tmp_path, monkeypatch, command, config, flags):
+        """Every config value is parsed when the file is read, so a
+        malformed one fails even where a flag overrides it."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), *flags)
+        assert code == 2
+        assert out == ""
+        assert "config option crisis-prob:" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
 
 class TestValidate:
     def test_reduced_run_passes(self, capsys):
@@ -262,7 +281,20 @@ class TestDeterminismGuard:
           "--out", "out.csv"],
          "3ff0607681fc91b70fa66ca01062d176bc5b21358ea8bb158693dc4639307764",
          "293d9a44ac9ce1842bc6534c50c8b492ead4598ee4d5de37592e03e3871f2468"),
-    ], ids=["validate", "sweep"])
+        (["simulate", "-O", "10", "-B", "4", "-Q", "50", "-p", "0.15",
+          "-n", "2000", "--seed", "42", "--dump-trial", "--out", "out.csv"],
+         "a4640578cbf07d37d60f4f4bdff113a619d7994c0b7f588111b697a72912aee3",
+         "a4640578cbf07d37d60f4f4bdff113a619d7994c0b7f588111b697a72912aee3"),
+        (["analytic", "-O", "7", "-B", "3", "-Q", "40", "-p", "15%",
+          "--out", "out.csv"],
+         "ff4864afbc83f5d476108eff4da0ccb5294f9a71be2da248688456fab452bf3a",
+         "ff4864afbc83f5d476108eff4da0ccb5294f9a71be2da248688456fab452bf3a"),
+        (["fragments", "-O", "10", "--batch-range", "1:20",
+          "--out", "out.csv"],
+         "7bf52be270ebc1463a84164ccaeb3ec3d4747df6b80598ec05b3c2a4718cd95b",
+         "5ed5f55543b49ef908ed9128f939ff8dc29f8097797b253bb67df73c6663df00"),
+    ], ids=["validate", "sweep", "simulate-dump-trial", "analytic",
+            "fragments"])
     def test_output_digests(self, capsys, tmp_path, monkeypatch, argv,
                             stdout_sha256, file_sha256):
         monkeypatch.chdir(tmp_path)

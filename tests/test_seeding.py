@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from batchfrag.seeding import (
-    Stream,
     below,
     derive_seed,
     derive_seeds,
@@ -54,34 +53,6 @@ class TestStreamOutput:
         for i, seed in enumerate(seeds.tolist()):
             assert table[:, i].tolist() == [stream_output(seed, k)
                                             for k in range(6)]
-
-    def test_first_offset(self):
-        seeds = np.array([42], dtype=np.uint64)
-        shifted = stream_outputs(seeds, 3, first=2)
-        assert shifted[:, 0].tolist() == [stream_output(42, k)
-                                          for k in range(2, 5)]
-
-
-class TestStream:
-    def test_next_u64_walks_the_stream(self):
-        s = Stream(7)
-        assert [s.next_u64() for _ in range(4)] == [stream_output(7, k)
-                                                    for k in range(4)]
-
-    def test_skip(self):
-        s = Stream(7)
-        s.skip(3)
-        assert s.next_u64() == stream_output(7, 3)
-
-    def test_next_below_range(self):
-        s = Stream(11)
-        draws = [s.next_below(6) for _ in range(200)]
-        assert all(0 <= d < 6 for d in draws)
-        assert set(draws) == set(range(6))  # all residues reachable
-
-    def test_next_unit_range(self):
-        s = Stream(11)
-        assert all(0.0 <= s.next_unit() < 1.0 for _ in range(200))
 
 
 class TestDeriveSeed:

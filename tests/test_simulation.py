@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from batchfrag.model import InvalidParamsError, ModelParams
-from batchfrag.seeding import Stream, below, stream_output
+from batchfrag.seeding import below, stream_output, unit_float
 from batchfrag.simulation import (
     Batch,
     FulfillmentOutcome,
@@ -52,22 +52,35 @@ class TestGenerateBatches:
     def test_count_covers_quantity_plus_consumption(self):
         params = make_params(o=10, b=4, q=50)
         for u in range(4):
-            batches = generate_batches(TrialConfig(params, u, 0), Stream(0))
+            batches = generate_batches(TrialConfig(params, u, 0))
             assert len(batches) == -(-(50 + u) // 4)
             assert batches[0].consumed == u
             assert all(b.consumed == 0 for b in batches[1:])
             assert all(b.size == 4 for b in batches)
 
     def test_crisis_flags_extreme_probabilities(self):
-        no = generate_batches(TrialConfig(make_params(p=0.0), 0, 5), Stream(5))
+        no = generate_batches(TrialConfig(make_params(p=0.0), 0, 5))
         assert not any(b.in_crisis for b in no)
-        all_ = generate_batches(TrialConfig(make_params(p=1.0), 0, 5), Stream(5))
+        all_ = generate_batches(TrialConfig(make_params(p=1.0), 0, 5))
         assert all(b.in_crisis for b in all_)
 
     def test_rejects_out_of_range_consumption(self):
         """The TrialConfig that generate_batches takes cannot hold u >= B."""
         with pytest.raises(InvalidParamsError):
-            generate_batches(TrialConfig(make_params(b=4), 4, 0), Stream(0))
+            generate_batches(TrialConfig(make_params(b=4), 4, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 12),
+           st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)))
+    def test_flag_j_is_stream_output_one_plus_j(self, seed, b, p):
+        """Output 0 is the consumption draw; batch j's flag is output 1 + j,
+        whatever the consumption u."""
+        params = make_params(o=5, b=b, q=40, p=p)
+        for u in range(b):
+            batches = generate_batches(TrialConfig(params, u, seed))
+            assert [x.in_crisis for x in batches] == [
+                unit_float(stream_output(seed, 1 + j)) < p
+                for j in range(len(batches))]
 
 
 class TestFifoAssign:
