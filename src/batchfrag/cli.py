@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .model import ModelParams, expected_recall_size
-from .montecarlo import Z95, EstimateConfig, estimate_recall, sweep
+from .montecarlo import EstimateConfig, estimate_recall, sweep
 from .report import (
     render_analytic,
     render_outcome,
@@ -169,6 +169,11 @@ def _per_prob_path(out: str, prob: float) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     quantity = _required(args, "quantity")
+    # A config file's values are defaults like any other, so this also
+    # catches one probability from the file and the other from a flag.
+    if args.crisis_prob is not None and args.crisis_probs is not None:
+        raise UsageError("--crisis-prob and --crisis-probs are both set;"
+                         " give one or the other")
     probs = args.crisis_probs or [_required(args, "crisis-prob")]
     order_sizes = _required(args, "order-range")
     batch_sizes = _required(args, "batch-range")
@@ -207,7 +212,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         i, j = o - 1, b - 1
         analytic = grid.analytic[i, j]
         mean = grid.sim_mean[i, j]
-        se = grid.ci95_half_width[i, j] / Z95
+        se = grid.std_error[i, j]
         # Near-certain recall can make all trials identical, collapsing the
         # sample SE to 0 while the analytic value sits Q*(1-p)^Q away; the
         # rule-of-three floor keeps the check honest for degenerate samples.

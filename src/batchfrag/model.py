@@ -22,6 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "InvalidParamsError",
@@ -32,6 +35,7 @@ __all__ = [
     "recall_probability",
     "recall_probability_exact",
     "expected_recall_size",
+    "recall_size_surface",
     "recall_size_formula",
     "recall_limit_batch_inf",
     "recall_limit_order_inf",
@@ -185,6 +189,29 @@ def expected_recall_size(params: ModelParams) -> float:
     exactly ``Q * p`` for every batch size.
     """
     return params.total_quantity * recall_probability(params)
+
+
+def recall_size_surface(total_quantity: int, crisis_prob: float,
+                        order_sizes: Sequence[int],
+                        batch_sizes: Sequence[int]) -> np.ndarray:
+    """:func:`expected_recall_size` of every (order size, batch size) cell,
+    as a float matrix indexed [order size index, batch size index].
+
+    The quantity and the probability are checked once, as
+    :class:`ModelParams` checks them; the axes must already hold positive
+    integers, order sizes no larger than the quantity (``sweep`` checks
+    them). Each cell is the same Python arithmetic as
+    :func:`expected_recall_size` and so equals it bit for bit; ``np.power``
+    would not (it differs from ``**`` by an ulp on some cells). Rows are
+    filled one at a time, so no grid-sized Python list is ever built.
+    """
+    q = _check_positive_int("total_quantity", total_quantity)
+    p = _check_probability("crisis_prob", crisis_prob)
+    surface = np.empty((len(order_sizes), len(batch_sizes)))
+    for i, o in enumerate(order_sizes):
+        surface[i] = [q * _order_crisis_prob(p, (o + b - 1) / b)
+                      for b in batch_sizes]
+    return surface
 
 
 def recall_size_formula(total_quantity: int, order_size: int,

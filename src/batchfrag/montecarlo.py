@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import InvalidParamsError, ModelParams, expected_recall_size
+from .model import InvalidParamsError, ModelParams, recall_size_surface
 from .seeding import (derive_seed, derive_seeds, stream_outputs, unit_floats,
                       unit_threshold)
 
@@ -93,6 +93,8 @@ class SweepGrid:
     Simulation fields are None on analytic-only grids.
     ``mean_abs_error_pct`` is 100 * mean(|analytic - simulated|) / Q: the
     error is expressed as a percentage of the total quantity.
+    ``std_error`` is each cell's sample standard error of the mean, as
+    :class:`TrialEstimate` reports it; the 95% half-width is derived from it.
     """
 
     total_quantity: int
@@ -102,10 +104,15 @@ class SweepGrid:
     analytic: np.ndarray
     sim_mean: np.ndarray | None = None
     abs_error: np.ndarray | None = None
-    ci95_half_width: np.ndarray | None = None
+    std_error: np.ndarray | None = None
     mean_abs_error_pct: float | None = None
     n_trials: int | None = None
     base_seed: int | None = None
+
+    @property
+    def ci95_half_width(self) -> np.ndarray | None:
+        """``Z95 * std_error`` per cell, computed on every read."""
+        return None if self.std_error is None else Z95 * self.std_error
 
 
 def trial_recalls(config: EstimateConfig) -> np.ndarray:
@@ -386,12 +393,7 @@ def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
     """
     orders = _check_axis("order_sizes", order_sizes, upper=int(quantity))
     batches = _check_axis("batch_sizes", batch_sizes)
-
-    analytic = np.empty((len(orders), len(batches)))
-    for i, o in enumerate(orders):
-        for j, b in enumerate(batches):
-            analytic[i, j] = expected_recall_size(
-                ModelParams(o, b, quantity, crisis_prob))
+    analytic = recall_size_surface(quantity, crisis_prob, orders, batches)
 
     if not include_simulation:
         return SweepGrid(total_quantity=int(quantity), crisis_prob=float(crisis_prob),
@@ -399,7 +401,7 @@ def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
 
     _check_trials(n_trials)
     sim_mean = np.empty_like(analytic)
-    ci95 = np.empty_like(analytic)
+    std_error = np.empty_like(analytic)
     step = max(1, _CHUNK_OUTPUTS // n_trials)
     for j, b in enumerate(batches):
         for i in range(0, len(orders), step):
@@ -407,11 +409,10 @@ def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
             recalls = _group_recalls(
                 cells, b, int(quantity), float(crisis_prob),
                 [derive_seed(base_seed, o, b) for o in cells], n_trials)
-            _, sim_mean[i:i + step, j], std_error = _summarize(recalls)
-            ci95[i:i + step, j] = Z95 * std_error
+            _, sim_mean[i:i + step, j], std_error[i:i + step, j] = _summarize(recalls)
     abs_error = np.abs(analytic - sim_mean)
     return SweepGrid(total_quantity=int(quantity), crisis_prob=float(crisis_prob),
                      order_sizes=orders, batch_sizes=batches, analytic=analytic,
-                     sim_mean=sim_mean, abs_error=abs_error, ci95_half_width=ci95,
+                     sim_mean=sim_mean, abs_error=abs_error, std_error=std_error,
                      mean_abs_error_pct=100.0 * float(abs_error.mean()) / quantity,
                      n_trials=n_trials, base_seed=base_seed)

@@ -61,18 +61,22 @@ def _grid_comment(grid: SweepGrid) -> str:
             f" n_trials={n} base_seed={seed} mean_abs_error_pct={err}")
 
 
+# Both renderers format one matrix row at a time from ``row.tolist()``:
+# indexing and formatting numpy scalars cell by cell costs about twice as
+# much, and one row at a time keeps the memory of a large analytic grid flat.
 def _render_long(grid: SweepGrid) -> str:
     lines = [LONG_CSV_HEADER]
-    simulated = grid.sim_mean is not None
-    for i, o in enumerate(grid.order_sizes):
-        for j, b in enumerate(grid.batch_sizes):
-            if simulated:
-                tail = (f"{_fmt(grid.sim_mean[i, j])},"
-                        f"{_fmt(grid.abs_error[i, j])},"
-                        f"{_fmt(grid.ci95_half_width[i, j])}")
-            else:
-                tail = ",,"
-            lines.append(f"{o},{b},{_fmt(grid.analytic[i, j])},{tail}")
+    batches = grid.batch_sizes
+    if grid.sim_mean is None:
+        for o, analytic in zip(grid.order_sizes, grid.analytic):
+            lines += [f"{o},{b},{a:.6f},,,"
+                      for b, a in zip(batches, analytic.tolist())]
+    else:
+        for o, *rows in zip(grid.order_sizes, grid.analytic, grid.sim_mean,
+                            grid.abs_error, grid.ci95_half_width):
+            lines += [f"{o},{b},{a:.6f},{m:.6f},{e:.6f},{c:.6f}"
+                      for b, a, m, e, c in zip(
+                          batches, *(row.tolist() for row in rows))]
     lines.append(_grid_comment(grid))
     return "\n".join(lines) + "\n"
 
@@ -88,10 +92,8 @@ def _render_matrix(grid: SweepGrid) -> str:
     for name, matrix in metrics:
         lines.append(f"# metric: {name}")
         lines.append(header)
-        for i, o in enumerate(grid.order_sizes):
-            row = ",".join(_fmt(matrix[i, j])
-                           for j in range(len(grid.batch_sizes)))
-            lines.append(f"{o},{row}")
+        lines += [f"{o}," + ",".join([f"{x:.6f}" for x in row.tolist()])
+                  for o, row in zip(grid.order_sizes, matrix)]
     lines.append(_grid_comment(grid))
     return "\n".join(lines) + "\n"
 

@@ -141,6 +141,27 @@ class TestSweep:
         assert out == ""
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("config, flags", [
+        (None, ["-p", "0.2", "--crisis-probs", "0.1,0.3"]),
+        ("crisis-prob = 0.2\n", ["--crisis-probs", "0.1,0.3"]),
+        ("crisis-probs = 0.1,0.3\n", ["-p", "0.2"]),
+    ], ids=["flags", "config-prob", "config-probs"])
+    def test_single_and_family_probability_is_usage_error(
+            self, capsys, tmp_path, monkeypatch, config, flags):
+        """-p and --crisis-probs together, by flag or config file, would
+        leave one of them silently unused."""
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+            flags = ["--config", "run.cfg", *flags]
+        code, out, err = run_cli(capsys, "sweep", *flags, "-Q", "50",
+                                 "--order-range", "1:2", "--batch-range",
+                                 "1:2", "--analytic-only", "--out", "s.csv")
+        assert code == 2
+        assert out == ""
+        assert "--crisis-prob and --crisis-probs" in err
+        assert not list(tmp_path.glob("s*.csv"))
+
     def test_divisors_only_filters_orders(self, capsys, tmp_path):
         path = tmp_path / "d.csv"
         code, _, _ = run_cli(capsys, "sweep", "-Q", "50", "-p", "0.15",
@@ -293,8 +314,12 @@ class TestDeterminismGuard:
           "--out", "out.csv"],
          "7bf52be270ebc1463a84164ccaeb3ec3d4747df6b80598ec05b3c2a4718cd95b",
          "5ed5f55543b49ef908ed9128f939ff8dc29f8097797b253bb67df73c6663df00"),
+        (["sweep", "-Q", "1000", "-p", "0.15", "--order-range", "1:1000",
+          "--batch-range", "1:50", "--analytic-only", "--out", "out.csv"],
+         "7bf52be270ebc1463a84164ccaeb3ec3d4747df6b80598ec05b3c2a4718cd95b",
+         "b10587183447a8728d5ffaf8c76ee655692de163b33fc12a330acefe6edcff02"),
     ], ids=["validate", "sweep", "simulate-dump-trial", "analytic",
-            "fragments"])
+            "fragments", "sweep-analytic-only"])
     def test_output_digests(self, capsys, tmp_path, monkeypatch, argv,
                             stdout_sha256, file_sha256):
         monkeypatch.chdir(tmp_path)

@@ -1,9 +1,12 @@
 """Closed-form model: fragment distribution, recall probability, limits."""
 
+import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from batchfrag.model import (
     InvalidParamsError,
@@ -16,6 +19,7 @@ from batchfrag.model import (
     recall_probability,
     recall_probability_exact,
     recall_size_formula,
+    recall_size_surface,
 )
 
 order_sizes = st.integers(min_value=1, max_value=300)
@@ -181,6 +185,45 @@ class TestRecallSize:
             values = [recall_size_formula(50, o, b, 0.15)
                       for b in range(1, 101)]
             assert values == sorted(values, reverse=True)
+
+
+@st.composite
+def grids(draw):
+    """A quantity with ascending order (at most Q) and batch axes."""
+    q = draw(st.integers(1, 5000), label="Q")
+    orders = draw(st.lists(st.integers(1, q), min_size=1, max_size=8,
+                           unique=True).map(sorted), label="orders")
+    batches = draw(st.lists(st.integers(1, 400), min_size=1, max_size=8,
+                            unique=True).map(sorted), label="batches")
+    return q, orders, batches
+
+
+class TestRecallSurface:
+    @settings(max_examples=300, deadline=None)
+    @given(grid=grids(), p=st.one_of(
+        st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53]),
+        st.integers(0, 2**53).map(lambda k: k * 2.0**-53),
+        st.floats(0.0, 1.0)))
+    # np.power differs from ** by an ulp here, as on 477 other cells of
+    # the 1000 x 50 grid at this p
+    @example(grid=(1000, [2], [31]), p=0.15)
+    def test_equals_expected_recall_size_bit_for_bit(self, grid, p):
+        q, orders, batches = grid
+        expected = np.array([[expected_recall_size(ModelParams(o, b, q, p))
+                              for b in batches] for o in orders])
+        assert np.array_equal(recall_size_surface(q, p, orders, batches),
+                              expected)
+
+    @pytest.mark.parametrize("q,p", [
+        (0, 0.15), (True, 0.15), (2.5, 0.15),
+        (10, -0.1), (10, 1.5), (10, math.nan),
+    ])
+    def test_rejects_what_model_params_rejects(self, q, p):
+        with pytest.raises(InvalidParamsError) as cell:
+            ModelParams(1, 1, q, p)
+        with pytest.raises(InvalidParamsError,
+                           match=f"^{re.escape(str(cell.value))}$"):
+            recall_size_surface(q, p, [1], [1, 2])
 
 
 class TestLimits:

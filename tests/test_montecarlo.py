@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from batchfrag import montecarlo
 from batchfrag.model import (
+    InvalidParamsError,
     ModelParams,
     expected_recall_size,
     recall_probability_exact,
@@ -177,6 +178,7 @@ class TestSweep:
                      include_simulation=False)
         assert grid.sim_mean is None
         assert grid.abs_error is None
+        assert grid.std_error is None
         assert grid.ci95_half_width is None
         assert grid.mean_abs_error_pct is None
         assert grid.n_trials is None
@@ -219,8 +221,10 @@ class TestSweep:
                                                  derive_seed(seed, o, b)))
                   for b in batches] for o in orders]
         mean = np.array([[e.mean_recall for e in row] for row in cells])
+        se = np.array([[e.std_error for e in row] for row in cells])
         ci95 = np.array([[e.ci95_half_width for e in row] for row in cells])
         assert np.array_equal(grid.sim_mean, mean)
+        assert np.array_equal(grid.std_error, se)
         assert np.array_equal(grid.ci95_half_width, ci95)
         assert np.array_equal(grid.abs_error, np.abs(grid.analytic - mean))
 
@@ -249,6 +253,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(50, 0.15, [1], [0, 1])
 
+    @pytest.mark.parametrize("q,p,orders,message", [
+        (0, 0.15, [1, 2], "order_sizes must not exceed the total quantity 0, got 2"),
+        (True, 0.15, [1], "total_quantity must be an integer, got True"),
+        (2.5, 0.15, [1, 2], "total_quantity must be an integer, got 2.5"),
+        (10, -0.1, [1, 2], "crisis_prob must be in [0, 1], got -0.1"),
+        (10, 1.5, [1, 2], "crisis_prob must be in [0, 1], got 1.5"),
+        (10, math.nan, [1, 2], "crisis_prob must be in [0, 1], got nan"),
+    ])
+    def test_quantity_and_probability_validation(self, q, p, orders, message):
+        """The axes are checked first, then Q and p, each once per grid,
+        with the messages a per-cell ModelParams gave."""
+        with pytest.raises(InvalidParamsError) as exc:
+            sweep(q, p, orders, [1, 3], include_simulation=False)
+        assert str(exc.value) == message
+
     def test_reruns_bit_identical(self):
         a = sweep(20, 0.25, range(1, 5), range(1, 5), n_trials=120,
                   base_seed=8)
@@ -264,7 +283,7 @@ class TestSweep:
         divisors = [o for o in range(1, 51) if 50 % o == 0]
         grid = sweep(50, 0.15, divisors, range(1, 101), n_trials=10_000,
                      base_seed=0)
-        se = grid.ci95_half_width / Z95
+        se = grid.std_error
         covered = np.abs(grid.sim_mean - grid.analytic) <= 2.576 * se
         assert covered.mean() >= 0.95
 
@@ -273,7 +292,7 @@ class TestSweep:
         exact two-point recall probability."""
         grid = sweep(50, 0.15, [1, 2, 5, 10, 25, 50], [3, 4, 7],
                      n_trials=10_000, base_seed=1)
-        se = grid.ci95_half_width / Z95
+        se = grid.std_error
         for i, o in enumerate([1, 2, 5, 10, 25, 50]):
             for j, b in enumerate([3, 4, 7]):
                 exact = 50 * recall_probability_exact(

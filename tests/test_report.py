@@ -1,6 +1,7 @@
 """Report serialization: CSV layouts, round-trips, byte determinism."""
 
 import csv
+import hashlib
 
 import pytest
 
@@ -104,6 +105,13 @@ class TestMatrixCsv:
         write_sweep(analytic_grid, path, format="grid-csv")
         text = path.read_text(encoding="utf-8")
         assert text.count("# metric:") == 1
+
+    def test_digest(self, small_grid, tmp_path):
+        """Every byte of the matrix layout of a simulated grid, pinned."""
+        path = tmp_path / "m.csv"
+        write_sweep(small_grid, path, format="grid-csv")
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == "78dc07f4ed8bdec3f78fbdd3d6ebbaf19165af4dd52468c105e24b7428ceaf38")
 
 
 class TestFragmentsCurve:
