@@ -46,16 +46,33 @@ class InvalidParamsError(ValueError):
     """Raised when model parameters violate their invariants."""
 
 
-def _check_positive_int(name: str, value) -> int:
+def _check_positive_int(name: str, value, minimum: int | None = 1) -> int:
+    """The library's one integer rule. ``value`` must equal an integer (an
+    ``int``, a numpy integer or an integral float, but not a bool) that is
+    at least ``minimum`` (any integer when ``minimum`` is None); it is
+    returned as an ``int``. Anything else raises
+    :class:`InvalidParamsError` naming ``name``."""
     try:
         as_int = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
-    if as_int != value or isinstance(value, bool):
+    if as_int != value or isinstance(value, (bool, np.bool_)):
         raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
-    if as_int < 1:
-        raise InvalidParamsError(f"{name} must be >= 1, got {as_int}")
+    if minimum is not None and as_int < minimum:
+        raise InvalidParamsError(f"{name} must be >= {minimum}, got {as_int}")
     return as_int
+
+
+def _check_axis(name: str, values: Sequence[int]) -> tuple[int, ...]:
+    """A sweep axis of ``name`` values (``order_size`` or ``batch_size``):
+    nonempty, strictly ascending, and each element checked by
+    :func:`_check_positive_int` as :class:`ModelParams` checks ``name``."""
+    vals = tuple(_check_positive_int(name, v) for v in values)
+    if not vals:
+        raise InvalidParamsError(f"{name}s must be nonempty")
+    if any(a >= b for a, b in zip(vals, vals[1:])):
+        raise InvalidParamsError(f"{name}s must be strictly ascending, got {vals}")
+    return vals
 
 
 def _check_probability(name: str, value) -> float:
@@ -198,9 +215,10 @@ def recall_size_surface(total_quantity: int, crisis_prob: float,
     as a float matrix indexed [order size index, batch size index].
 
     The quantity and the probability are checked once, as
-    :class:`ModelParams` checks them; the axes must already hold positive
-    integers, order sizes no larger than the quantity (``sweep`` checks
-    them). Each cell is the same Python arithmetic as
+    :class:`ModelParams` checks them. The axes must already have passed
+    :func:`_check_axis`, with order sizes no larger than the quantity:
+    :func:`batchfrag.montecarlo.sweep` checks both before it calls this.
+    Each cell is the same Python arithmetic as
     :func:`expected_recall_size` and so equals it bit for bit; ``np.power``
     would not (it differs from ``**`` by an ulp on some cells). Rows are
     filled one at a time, so no grid-sized Python list is ever built.

@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import InvalidParamsError, ModelParams, recall_size_surface
+from .model import (ModelParams, _check_axis, _check_positive_int,
+                    recall_size_surface)
 from .seeding import (derive_seed, derive_seeds, stream_outputs, unit_floats,
                       unit_threshold)
 
@@ -54,19 +55,18 @@ _CHUNK_OUTPUTS = 1 << 17
 
 @dataclass(frozen=True)
 class EstimateConfig:
+    """One cell's trials: ``n_trials`` >= 1 and any integer ``base_seed``,
+    both checked and normalised to ``int`` as :class:`ModelParams` does."""
+
     params: ModelParams
     n_trials: int = 10_000
     base_seed: int = 0
 
     def __post_init__(self):
-        _check_trials(self.n_trials)
-
-
-def _check_trials(n_trials: int) -> None:
-    if not isinstance(n_trials, int) or isinstance(n_trials, bool) \
-            or n_trials < 1:
-        raise InvalidParamsError(
-            f"n_trials must be a positive integer, got {n_trials!r}")
+        object.__setattr__(self, "n_trials",
+                           _check_positive_int("n_trials", self.n_trials))
+        object.__setattr__(self, "base_seed", _check_positive_int(
+            "base_seed", self.base_seed, minimum=None))
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,18 @@ class TrialEstimate:
 
     mean_recall: float
     std_error: float
-    ci95_half_width: float
-    ci98_half_width: float
     n_trials: int
     total_recalled: int
+
+    @property
+    def ci95_half_width(self) -> float:
+        """``Z95 * std_error``, computed on every read."""
+        return Z95 * self.std_error
+
+    @property
+    def ci98_half_width(self) -> float:
+        """``Z98 * std_error``, computed on every read."""
+        return Z98 * self.std_error
 
 
 @dataclass(frozen=True)
@@ -359,25 +367,9 @@ def estimate_recall(config: EstimateConfig) -> TrialEstimate:
     half-widths around the mean.
     """
     total, mean, std_error = _summarize(trial_recalls(config)[None])
-    std_error = float(std_error[0])
-    return TrialEstimate(mean_recall=float(mean[0]), std_error=std_error,
-                         ci95_half_width=Z95 * std_error,
-                         ci98_half_width=Z98 * std_error,
+    return TrialEstimate(mean_recall=float(mean[0]),
+                         std_error=float(std_error[0]),
                          n_trials=config.n_trials, total_recalled=int(total[0]))
-
-
-def _check_axis(name: str, values: Sequence[int], upper: int | None = None) -> tuple[int, ...]:
-    vals = tuple(int(v) for v in values)
-    if not vals:
-        raise InvalidParamsError(f"{name} must be nonempty")
-    if any(v < 1 for v in vals):
-        raise InvalidParamsError(f"{name} must be positive, got {vals}")
-    if any(a >= b for a, b in zip(vals, vals[1:])):
-        raise InvalidParamsError(f"{name} must be strictly ascending, got {vals}")
-    if upper is not None and vals[-1] > upper:
-        raise InvalidParamsError(
-            f"{name} must not exceed the total quantity {upper}, got {vals[-1]}")
-    return vals
 
 
 def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
@@ -391,28 +383,32 @@ def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
     cell's estimate equals ``estimate_recall`` of that cell alone; the
     cells of one batch size are simulated together, in one kernel call.
     """
-    orders = _check_axis("order_sizes", order_sizes, upper=int(quantity))
-    batches = _check_axis("batch_sizes", batch_sizes)
-    analytic = recall_size_surface(quantity, crisis_prob, orders, batches)
+    orders = _check_axis("order_size", order_sizes)
+    batches = _check_axis("batch_size", batch_sizes)
+    # the largest order size is the binding cell: ModelParams checks Q, p
+    # and O <= Q in its own order and words
+    corner = ModelParams(orders[-1], batches[0], quantity, crisis_prob)
+    q, p = corner.total_quantity, corner.crisis_prob
+    analytic = recall_size_surface(q, p, orders, batches)
 
     if not include_simulation:
-        return SweepGrid(total_quantity=int(quantity), crisis_prob=float(crisis_prob),
-                         order_sizes=orders, batch_sizes=batches, analytic=analytic)
+        return SweepGrid(total_quantity=q, crisis_prob=p, order_sizes=orders,
+                         batch_sizes=batches, analytic=analytic)
 
-    _check_trials(n_trials)
+    n = _check_positive_int("n_trials", n_trials)
+    seed = _check_positive_int("base_seed", base_seed, minimum=None)
     sim_mean = np.empty_like(analytic)
     std_error = np.empty_like(analytic)
-    step = max(1, _CHUNK_OUTPUTS // n_trials)
+    step = max(1, _CHUNK_OUTPUTS // n)
     for j, b in enumerate(batches):
         for i in range(0, len(orders), step):
             cells = orders[i:i + step]
-            recalls = _group_recalls(
-                cells, b, int(quantity), float(crisis_prob),
-                [derive_seed(base_seed, o, b) for o in cells], n_trials)
+            recalls = _group_recalls(cells, b, q, p,
+                                     [derive_seed(seed, o, b) for o in cells], n)
             _, sim_mean[i:i + step, j], std_error[i:i + step, j] = _summarize(recalls)
     abs_error = np.abs(analytic - sim_mean)
-    return SweepGrid(total_quantity=int(quantity), crisis_prob=float(crisis_prob),
-                     order_sizes=orders, batch_sizes=batches, analytic=analytic,
-                     sim_mean=sim_mean, abs_error=abs_error, std_error=std_error,
-                     mean_abs_error_pct=100.0 * float(abs_error.mean()) / quantity,
-                     n_trials=n_trials, base_seed=base_seed)
+    return SweepGrid(total_quantity=q, crisis_prob=p, order_sizes=orders,
+                     batch_sizes=batches, analytic=analytic, sim_mean=sim_mean,
+                     abs_error=abs_error, std_error=std_error,
+                     mean_abs_error_pct=100.0 * float(abs_error.mean()) / q,
+                     n_trials=n, base_seed=seed)

@@ -1,11 +1,10 @@
 """Plain-text serialization of analytic reports, estimates, sweep grids,
 and curve data.
 
-Two CSV layouts are emitted for sweeps: a long form (one row per cell,
-the canonical interchange format) and a matrix form (one block per
-metric). Metadata travels in ``#``-prefixed comment lines so ordinary CSV
-readers skip it. Files are UTF-8 with lone line feeds and contain nothing
-run-dependent: identical inputs give byte-identical files.
+Sweeps are written as long-form CSV, one row per cell. Metadata travels
+in ``#``-prefixed comment lines so ordinary CSV readers skip it. Files are
+UTF-8 with lone line feeds and contain nothing run-dependent: identical
+inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ def _grid_comment(grid: SweepGrid) -> str:
             f" n_trials={n} base_seed={seed} mean_abs_error_pct={err}")
 
 
-# Both renderers format one matrix row at a time from ``row.tolist()``:
+# The renderer formats one matrix row at a time from ``row.tolist()``:
 # indexing and formatting numpy scalars cell by cell costs about twice as
 # much, and one row at a time keeps the memory of a large analytic grid flat.
 def _render_long(grid: SweepGrid) -> str:
@@ -81,41 +80,15 @@ def _render_long(grid: SweepGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_matrix(grid: SweepGrid) -> str:
-    metrics = [("analytic_recall", grid.analytic)]
-    if grid.sim_mean is not None:
-        metrics += [("sim_mean", grid.sim_mean),
-                    ("abs_error", grid.abs_error),
-                    ("ci95_half_width", grid.ci95_half_width)]
-    lines = []
-    header = "order_size\\batch_size," + ",".join(str(b) for b in grid.batch_sizes)
-    for name, matrix in metrics:
-        lines.append(f"# metric: {name}")
-        lines.append(header)
-        lines += [f"{o}," + ",".join([f"{x:.6f}" for x in row.tolist()])
-                  for o, row in zip(grid.order_sizes, matrix)]
-    lines.append(_grid_comment(grid))
-    return "\n".join(lines) + "\n"
+def write_sweep(grid: SweepGrid, path: str | Path) -> Path:
+    """Write a sweep grid as long-form CSV and return its path.
 
-
-def write_sweep(grid: SweepGrid, path: str | Path,
-                format: str = "long-csv") -> Path:
-    """Write a sweep grid as long-form (``long-csv``) or matrix-form
-    (``grid-csv``) CSV.
-
-    Long form: the fixed header, one row per cell in order-size-major
-    order (simulation columns left empty on analytic-only grids), and a
-    trailing comment recording quantity, crisis probability, trial count,
-    base seed, and the mean absolute error in percent of the quantity.
+    The fixed header, one row per cell in order-size-major order
+    (simulation columns left empty on analytic-only grids), and a trailing
+    comment recording quantity, crisis probability, trial count, base
+    seed, and the mean absolute error in percent of the quantity.
     """
-    if format == "long-csv":
-        text = _render_long(grid)
-    elif format == "grid-csv":
-        text = _render_matrix(grid)
-    else:
-        raise ValueError(f"unknown sweep format {format!r}; "
-                         "expected long-csv or grid-csv")
-    return write_text(path, text)
+    return write_text(path, _render_long(grid))
 
 
 def write_fragments_curve(order_size: int, batch_sizes: Sequence[int],

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .model import InvalidParamsError, ModelParams
+from .model import InvalidParamsError, ModelParams, _check_positive_int
 from .seeding import below, stream_output, unit_float
 
 __all__ = [
@@ -82,14 +82,15 @@ class TrialConfig:
     rng_seed: int
 
     def __post_init__(self):
-        u = self.initial_consumption
-        if not isinstance(u, int) or isinstance(u, bool):
-            raise InvalidParamsError(
-                f"initial_consumption must be an integer, got {u!r}")
+        u = _check_positive_int("initial_consumption",
+                                self.initial_consumption, minimum=None)
         if not 0 <= u < self.params.batch_size:
             raise InvalidParamsError(
                 f"initial_consumption must be in [0, {self.params.batch_size}), "
                 f"got {u}")
+        object.__setattr__(self, "initial_consumption", u)
+        object.__setattr__(self, "rng_seed", _check_positive_int(
+            "rng_seed", self.rng_seed, minimum=None))
 
     @classmethod
     def from_seed(cls, params: ModelParams, rng_seed: int) -> "TrialConfig":

@@ -95,7 +95,27 @@ class TestSimulate:
         assert abs(mean - 7.5) <= 3 * se
 
 
+    def test_zero_trials_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "-O", "5", "-B", "3",
+                                 "-Q", "20", "-p", "0.1", "-n", "0")
+        assert (code, out, err) == (2, "", "error: n_trials must be >= 1, got 0\n")
+
+
 class TestSweep:
+    def test_analytic_only_ignores_trial_count(self, capsys, tmp_path):
+        path = tmp_path / "s.csv"
+        code, _, _ = run_cli(capsys, "sweep", "-Q", "50", "-p", "0.15",
+                             "--order-range", "1:3", "--batch-range", "1:3",
+                             "-n", "0", "--analytic-only", "--out", str(path))
+        assert code == 0
+        assert "n_trials= " in path.read_text(encoding="utf-8")
+
+    def test_order_range_above_quantity_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "sweep", "-Q", "50", "-p", "0.15",
+                               "--order-range", "1:60", "--batch-range", "1:3",
+                               "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert err == "error: order size exceeds total quantity (60 > 50)\n"
     def test_writes_grid_and_reports_error(self, capsys, tmp_path):
         path = tmp_path / "s.csv"
         code, out, _ = run_cli(capsys, "sweep", "-Q", "50", "-p", "0.15",

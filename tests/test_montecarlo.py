@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,28 @@ from batchfrag.montecarlo import (
 )
 from batchfrag.seeding import derive_seed
 from batchfrag.simulation import TrialConfig, run_trial
+
+
+# A feasible cell, and the ModelParams field whose message each other integer
+# input shares (with the name swapped).
+_CELL = dict(order_size=1, batch_size=1, total_quantity=10, crisis_prob=0.15)
+_MODEL_FIELD = {"n_trials": "order_size", "base_seed": "order_size"}
+_INTEGER_ENTRIES = {
+    "sweep-Q": ("total_quantity", lambda v: sweep(
+        v, 0.15, [1], [1, 3], include_simulation=False)),
+    "sweep-order": ("order_size", lambda v: sweep(
+        10, 0.15, [v], [1], include_simulation=False)),
+    "sweep-batch": ("batch_size", lambda v: sweep(
+        10, 0.15, [1], [1, v], include_simulation=False)),
+    "sweep-n_trials": ("n_trials", lambda v: sweep(
+        10, 0.15, [1], [1], n_trials=v)),
+    "sweep-base_seed": ("base_seed", lambda v: sweep(
+        10, 0.15, [1], [1], n_trials=5, base_seed=v)),
+    "EstimateConfig-n_trials": ("n_trials", lambda v: EstimateConfig(
+        ModelParams(**_CELL), v)),
+    "EstimateConfig-base_seed": ("base_seed", lambda v: EstimateConfig(
+        ModelParams(**_CELL), 5, v)),
+}
 
 
 class TestTrialRecalls:
@@ -147,6 +170,16 @@ class TestEstimateRecall:
         with pytest.raises(ValueError):
             EstimateConfig(ModelParams(10, 4, 50, 0.15), 0, 0)
 
+    @pytest.mark.parametrize("n,seed", [(np.int64(300), np.int64(7)),
+                                        (300.0, 7.0), (np.int32(300), np.uint64(7))])
+    def test_integral_trials_and_seed_normalised(self, n, seed):
+        params = ModelParams(10, 4, 50, 0.15)
+        config = EstimateConfig(params, n, seed)
+        assert config == EstimateConfig(params, int(n), 7)
+        assert type(config.n_trials) is int and type(config.base_seed) is int
+        assert estimate_recall(config) == estimate_recall(
+            EstimateConfig(params, int(n), 7))
+
     def test_checkpoint_small_orders(self):
         """Unit orders from unit batches: mean near Q*p."""
         est = estimate_recall(EstimateConfig(ModelParams(1, 1, 50, 0.15),
@@ -254,7 +287,7 @@ class TestSweep:
             sweep(50, 0.15, [1], [0, 1])
 
     @pytest.mark.parametrize("q,p,orders,message", [
-        (0, 0.15, [1, 2], "order_sizes must not exceed the total quantity 0, got 2"),
+        (0, 0.15, [1, 2], "total_quantity must be >= 1, got 0"),
         (True, 0.15, [1], "total_quantity must be an integer, got True"),
         (2.5, 0.15, [1, 2], "total_quantity must be an integer, got 2.5"),
         (10, -0.1, [1, 2], "crisis_prob must be in [0, 1], got -0.1"),
@@ -267,6 +300,58 @@ class TestSweep:
         with pytest.raises(InvalidParamsError) as exc:
             sweep(q, p, orders, [1, 3], include_simulation=False)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True, "x", None,
+                                       math.inf, np.True_], ids=repr)
+    @pytest.mark.parametrize("entry", list(_INTEGER_ENTRIES))
+    def test_integer_rule(self, entry, value):
+        """Every integer input of EstimateConfig and sweep follows the one
+        rule of ModelParams, with its message; seeds may be 0 or negative."""
+        field, call = _INTEGER_ENTRIES[entry]
+        if field == "base_seed" and value in (0, -1):
+            call(value)
+            return
+        model_field = _MODEL_FIELD.get(field, field)
+        with pytest.raises(InvalidParamsError) as cell:
+            ModelParams(**{**_CELL, model_field: value})
+        message = str(cell.value).replace(model_field, field)
+        with pytest.raises(InvalidParamsError,
+                           match=f"^{re.escape(message)}$"):
+            call(value)
+
+    def test_order_size_above_quantity_checked_last(self):
+        """O <= Q is checked after Q and p, as ModelParams checks it."""
+        with pytest.raises(InvalidParamsError,
+                           match=r"^order size exceeds total quantity \(60 > 50\)$"):
+            sweep(50, 0.15, [1, 60], [1], include_simulation=False)
+        with pytest.raises(InvalidParamsError, match="^crisis_prob"):
+            sweep(50, 1.5, [1, 60], [1], include_simulation=False)
+
+    def test_trials_and_seed_checked_only_when_simulating(self):
+        grid = sweep(50, 0.15, [1], [1], n_trials=0, base_seed=2.5,
+                     include_simulation=False)
+        assert grid.n_trials is None and grid.base_seed is None
+
+    @pytest.mark.parametrize("as_type", [np.int64, float], ids=["int64", "float"])
+    def test_integral_values_normalised(self, as_type):
+        """numpy integers and integral floats give the int run's figures,
+        with every integer field of the grid an int."""
+        expected = sweep(30, 0.2, [1, 4], [2, 5], n_trials=40, base_seed=3)
+        grid = sweep(as_type(30), 0.2, [as_type(1), as_type(4)],
+                     np.array([2, 5]).astype(as_type), n_trials=as_type(40),
+                     base_seed=as_type(3))
+        fields = (grid.total_quantity, grid.n_trials, grid.base_seed,
+                  *grid.order_sizes, *grid.batch_sizes)
+        assert all(type(v) is int for v in fields)
+        assert (grid.total_quantity, grid.n_trials, grid.base_seed) == (30, 40, 3)
+        np.testing.assert_array_equal(grid.analytic, expected.analytic)
+        np.testing.assert_array_equal(grid.sim_mean, expected.sim_mean)
+        np.testing.assert_array_equal(grid.std_error, expected.std_error)
+
+    def test_negative_seed_wraps_to_64_bits(self):
+        a = sweep(20, 0.3, [1, 3], [2], n_trials=30, base_seed=-1)
+        b = sweep(20, 0.3, [1, 3], [2], n_trials=30, base_seed=2**64 - 1)
+        np.testing.assert_array_equal(a.sim_mean, b.sim_mean)
 
     def test_reruns_bit_identical(self):
         a = sweep(20, 0.25, range(1, 5), range(1, 5), n_trials=120,

@@ -1,7 +1,6 @@
 """Report serialization: CSV layouts, round-trips, byte determinism."""
 
 import csv
-import hashlib
 
 import pytest
 
@@ -75,43 +74,6 @@ class TestLongCsv:
         write_sweep(small_grid, b)
         assert a.read_bytes() == b.read_bytes()
         assert b"\r" not in a.read_bytes()
-
-    def test_rejects_unknown_format(self, small_grid, tmp_path):
-        path = tmp_path / "x.csv"
-        with pytest.raises(ValueError):
-            write_sweep(small_grid, path, format="xml")
-        assert not path.exists()
-
-    def test_rejects_summary_format(self, small_grid, tmp_path):
-        path = tmp_path / "x"
-        with pytest.raises(ValueError):
-            write_sweep(small_grid, path, format="summary-text")
-        assert not path.exists()
-
-
-class TestMatrixCsv:
-    def test_one_block_per_metric(self, small_grid, tmp_path):
-        path = tmp_path / "m.csv"
-        write_sweep(small_grid, path, format="grid-csv")
-        text = path.read_text(encoding="utf-8")
-        for name in ("analytic_recall", "sim_mean", "abs_error",
-                     "ci95_half_width"):
-            assert f"# metric: {name}\n" in text
-        header = "order_size\\batch_size,1,2,3,4,5"
-        assert text.count(header) == 4
-
-    def test_analytic_only_single_block(self, analytic_grid, tmp_path):
-        path = tmp_path / "m.csv"
-        write_sweep(analytic_grid, path, format="grid-csv")
-        text = path.read_text(encoding="utf-8")
-        assert text.count("# metric:") == 1
-
-    def test_digest(self, small_grid, tmp_path):
-        """Every byte of the matrix layout of a simulated grid, pinned."""
-        path = tmp_path / "m.csv"
-        write_sweep(small_grid, path, format="grid-csv")
-        assert (hashlib.sha256(path.read_bytes()).hexdigest()
-                == "78dc07f4ed8bdec3f78fbdd3d6ebbaf19165af4dd52468c105e24b7428ceaf38")
 
 
 class TestFragmentsCurve:

@@ -1,5 +1,6 @@
 """FIFO fulfillment simulator: hand traces, invariants, determinism."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -151,6 +152,21 @@ class TestTrialConfig:
             TrialConfig(make_params(b=4), 4, 0)
         with pytest.raises(InvalidParamsError):
             TrialConfig(make_params(b=4), -1, 0)
+
+    def test_integer_rule(self):
+        """Consumption and seed follow the library's one integer rule:
+        integral values are normalised to int, others are rejected."""
+        params = make_params(b=4)
+        config = TrialConfig(params, np.int64(2), np.uint64(5))
+        assert config == TrialConfig(params, 2, 5)
+        assert type(config.initial_consumption) is type(config.rng_seed) is int
+        assert TrialConfig(params, 2.0, -3).rng_seed == -3
+        with pytest.raises(InvalidParamsError,
+                           match=r"^initial_consumption must be an integer, got 1\.5$"):
+            TrialConfig(params, 1.5, 0)
+        with pytest.raises(InvalidParamsError,
+                           match=r"^rng_seed must be an integer, got True$"):
+            TrialConfig(params, 0, True)
 
     def test_crisis_flags_independent_of_consumption(self):
         """Output 0 is reserved either way, so flags never shift."""
