@@ -158,20 +158,30 @@ def expected_fragments(params: ModelParams) -> Fraction:
                     params.batch_size)
 
 
-def _order_crisis_prob(crisis_prob: float, exponent: float) -> float:
-    """P(at least one of ``exponent`` independent batches is in crisis).
+def _order_crisis_prob(crisis_prob: float, exponents: np.ndarray) -> np.ndarray:
+    """P(at least one of e independent batches is in crisis), for every
+    exponent e of a float array ``exponents`` (1-D, or rows of a matrix).
 
-    ``1 - (1 - p)**exponent`` with the algebraically exact values returned
-    at the edges: p = 0 -> 0, p = 1 -> 1, exponent = 1 -> p (the float
-    round trip 1-(1-p) is not the identity, the closed form is).
+    ``1 - (1 - p)**e`` with the algebraically exact values returned at the
+    edges: p = 0 -> 0, p = 1 -> 1, e = 1 -> p (the float round trip
+    1-(1-p) is not the identity, the closed form is). The powers come from
+    Python's float ``**``, mapped in C over one row at a time
+    (``np.power`` differs from ``**`` by an ulp on some inputs); the
+    subtraction is the same IEEE operation in numpy as in Python.
     """
     if crisis_prob == 0.0:
-        return 0.0
+        return np.zeros(exponents.shape)
     if crisis_prob == 1.0:
-        return 1.0
-    if exponent == 1.0:
-        return crisis_prob
-    return 1.0 - (1.0 - crisis_prob) ** exponent
+        return np.ones(exponents.shape)
+    power = (1.0 - crisis_prob).__pow__
+    powers = np.empty(exponents.shape)
+    width = exponents.shape[-1]
+    for row, exps in zip(powers.reshape(-1, width),
+                         exponents.reshape(-1, width)):
+        row[:] = list(map(power, exps.tolist()))
+    probs = 1.0 - powers
+    probs[exponents == 1.0] = crisis_prob
+    return probs
 
 
 def recall_probability(params: ModelParams) -> float:
@@ -181,7 +191,9 @@ def recall_probability(params: ModelParams) -> float:
     :func:`recall_probability_exact` for the exact two-point mixture.
     """
     o, b = params.order_size, params.batch_size
-    return _order_crisis_prob(params.crisis_prob, (o + b - 1) / b)
+    (prob,) = _order_crisis_prob(params.crisis_prob,
+                                 np.array([(o + b - 1) / b])).tolist()
+    return prob
 
 
 def recall_probability_exact(params: ModelParams) -> float:
@@ -192,11 +204,12 @@ def recall_probability_exact(params: ModelParams) -> float:
     fragment count is deterministic or crisis_prob is 0 or 1.
     """
     stats = fragment_stats(params)
-    p = params.crisis_prob
+    at_min, at_max = _order_crisis_prob(
+        params.crisis_prob,
+        np.array([float(stats.fr_min), float(stats.fr_max)])).tolist()
     if stats.p_fr_max == 0:
-        return _order_crisis_prob(p, float(stats.fr_min))
-    return (float(stats.p_fr_min) * _order_crisis_prob(p, float(stats.fr_min))
-            + float(stats.p_fr_max) * _order_crisis_prob(p, float(stats.fr_max)))
+        return at_min
+    return float(stats.p_fr_min) * at_min + float(stats.p_fr_max) * at_max
 
 
 def expected_recall_size(params: ModelParams) -> float:
@@ -218,17 +231,24 @@ def recall_size_surface(total_quantity: int, crisis_prob: float,
     :class:`ModelParams` checks them. The axes must already have passed
     :func:`_check_axis`, with order sizes no larger than the quantity:
     :func:`batchfrag.montecarlo.sweep` checks both before it calls this.
-    Each cell is the same Python arithmetic as
-    :func:`expected_recall_size` and so equals it bit for bit; ``np.power``
-    would not (it differs from ``**`` by an ulp on some cells). Rows are
-    filled one at a time, so no grid-sized Python list is ever built.
+
+    Every cell equals :func:`expected_recall_size` bit for bit. The
+    exponents ``(O + B - 1) / B`` are one numpy division over the grid:
+    while ``O + B - 1 <= 2**53`` both operands are exact doubles, so it is
+    the same correctly rounded quotient as Python's ``int / int`` (larger
+    axes divide Python ints in an object array). :func:`_order_crisis_prob`
+    then applies Python's ``**`` one row at a time, and the product with Q
+    is the same IEEE multiplication as ``Q * prob``.
     """
     q = _check_positive_int("total_quantity", total_quantity)
     p = _check_probability("crisis_prob", crisis_prob)
-    surface = np.empty((len(order_sizes), len(batch_sizes)))
-    for i, o in enumerate(order_sizes):
-        surface[i] = [q * _order_crisis_prob(p, (o + b - 1) / b)
-                      for b in batch_sizes]
+    exact = order_sizes[-1] - 1 + batch_sizes[-1] <= 2**53
+    dtype = np.float64 if exact else object
+    orders = np.array(order_sizes, dtype=dtype)[:, None]
+    batches = np.array(batch_sizes, dtype=dtype)
+    exponents = np.asarray((orders - 1 + batches) / batches, dtype=np.float64)
+    surface = _order_crisis_prob(p, exponents)
+    surface *= float(q)
     return surface
 
 
@@ -246,7 +266,8 @@ def recall_size_formula(total_quantity: int, order_size: int,
     o = _check_positive_int("order_size", order_size)
     b = _check_positive_int("batch_size", batch_size)
     p = _check_probability("crisis_prob", crisis_prob)
-    return q * _order_crisis_prob(p, (o + b - 1) / b)
+    (prob,) = _order_crisis_prob(p, np.array([(o + b - 1) / b])).tolist()
+    return q * prob
 
 
 def recall_limit_batch_inf(total_quantity: int, crisis_prob: float) -> float:

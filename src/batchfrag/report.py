@@ -12,6 +12,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .model import (
     ModelParams,
     expected_fragments,
@@ -60,24 +62,24 @@ def _grid_comment(grid: SweepGrid) -> str:
             f" n_trials={n} base_seed={seed} mean_abs_error_pct={err}")
 
 
-# The renderer formats one matrix row at a time from ``row.tolist()``:
-# indexing and formatting numpy scalars cell by cell costs about twice as
-# much, and one row at a time keeps the memory of a large analytic grid flat.
+# The renderer fills one order row at a time with a single ``%``. A row's
+# template is ``str(o) + ("\n" + str(o)).join(pieces)``, where the pieces,
+# one per batch size, are built once per grid; the row's values (interleaved
+# per cell on simulated grids) come from one ``tolist()``. ``'%.6f' % x`` and
+# ``f"{x:.6f}"`` make the same ``PyOS_double_to_string(x, 'f', 6)`` call, so
+# the bytes are those of per-cell f-strings, and only one string per order
+# size is ever held besides the text itself.
 def _render_long(grid: SweepGrid) -> str:
-    lines = [LONG_CSV_HEADER]
-    batches = grid.batch_sizes
     if grid.sim_mean is None:
-        for o, analytic in zip(grid.order_sizes, grid.analytic):
-            lines += [f"{o},{b},{a:.6f},,,"
-                      for b, a in zip(batches, analytic.tolist())]
+        cell, values = ",%.6f,,,", grid.analytic
     else:
-        for o, *rows in zip(grid.order_sizes, grid.analytic, grid.sim_mean,
-                            grid.abs_error, grid.ci95_half_width):
-            lines += [f"{o},{b},{a:.6f},{m:.6f},{e:.6f},{c:.6f}"
-                      for b, a, m, e, c in zip(
-                          batches, *(row.tolist() for row in rows))]
-    lines.append(_grid_comment(grid))
-    return "\n".join(lines) + "\n"
+        cell = ",%.6f,%.6f,%.6f,%.6f"
+        values = np.stack([grid.analytic, grid.sim_mean, grid.abs_error,
+                           grid.ci95_half_width], axis=-1)
+    pieces = [f",{b}{cell}" for b in grid.batch_sizes]
+    rows = [(o + ("\n" + o).join(pieces)) % tuple(row.ravel().tolist())
+            for o, row in zip(map(str, grid.order_sizes), values)]
+    return "\n".join([LONG_CSV_HEADER, *rows, _grid_comment(grid)]) + "\n"
 
 
 def write_sweep(grid: SweepGrid, path: str | Path) -> Path:

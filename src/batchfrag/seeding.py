@@ -53,7 +53,12 @@ def mix64(z: int) -> int:
 
 
 def stream_output(seed: int, k: int) -> int:
-    """The k-th (0-based) 64-bit output of the stream with the given seed."""
+    """The k-th (0-based) 64-bit output of the stream with the given seed.
+
+    ``seed`` and ``k`` must be Python ints. They are not checked: this runs
+    once per batch of every ``run_trial``, whose :class:`TrialConfig` has
+    checked the seed already.
+    """
     return mix64((seed + (k + 1) * _GOLDEN) & _MASK64)
 
 
@@ -61,6 +66,8 @@ def derive_seed(base_seed: int, *components: int) -> int:
     """Mix integer components into ``base_seed``, one finalizer pass each.
 
     Order matters: derive_seed(s, a, b) != derive_seed(s, b, a) in general.
+    Like :func:`stream_output` it takes Python ints unchecked, since it runs
+    once per simulated sweep cell; ``sweep`` checks the base seed first.
     """
     h = base_seed & _MASK64
     for c in components:

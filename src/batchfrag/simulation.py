@@ -95,7 +95,9 @@ class TrialConfig:
     @classmethod
     def from_seed(cls, params: ModelParams, rng_seed: int) -> "TrialConfig":
         """Draw the initial consumption uniformly from output 0 of the trial
-        stream, matching the layout :func:`run_trial` assumes."""
+        stream, matching the layout :func:`run_trial` assumes. The seed is
+        checked, as the constructor checks it, before the draw."""
+        rng_seed = _check_positive_int("rng_seed", rng_seed, minimum=None)
         u = below(stream_output(rng_seed, 0), params.batch_size)
         return cls(params=params, initial_consumption=u, rng_seed=rng_seed)
 

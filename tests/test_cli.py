@@ -310,7 +310,7 @@ class TestValidate:
 
 
 class TestDeterminismGuard:
-    """Digests of stdout and of the --out file, pinned so that a kernel or
+    """Digests of stdout and of the --out files, pinned so that a kernel or
     report change that moves any simulated figure or byte shows here."""
 
     @pytest.mark.parametrize("argv,stdout_sha256,file_sha256", [
@@ -348,6 +348,25 @@ class TestDeterminismGuard:
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
         assert (hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
                 == file_sha256)
+
+    def test_probability_family_digests(self, capsys, tmp_path, monkeypatch):
+        """The multi-file path: one file per crisis probability."""
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--analytic-only", "--crisis-probs", "0.05,0.3",
+            "-Q", "200", "--order-range", "1:200", "--batch-range", "1:20",
+            "--out", "out.csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ff92999b823e498893fd5a03257e78bd7483785bbc5cf476fae3bbddadd55400")
+        files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in tmp_path.iterdir()}
+        assert files == {
+            "out_p0.05.csv":
+                "ae65c5bd416abe48527a6f76c8bf1b6cae338c2976c4873449d9caceb7e615de",
+            "out_p0.3.csv":
+                "652864156ce97a210beb05f6b8dcba2209ae38dcbfe7a788120ad2a33af47a0c",
+        }
 
 
 class TestFragments:

@@ -214,6 +214,20 @@ class TestRecallSurface:
         assert np.array_equal(recall_size_surface(q, p, orders, batches),
                               expected)
 
+    @pytest.mark.parametrize("p", [0.15, 1e-9, 0.0, 1.0])
+    def test_axes_beyond_two_to_the_53_bit_for_bit(self, p):
+        """Where O + B - 1 exceeds 2**53 a float64 division is not Python's
+        int / int; the surface still equals the per-cell closed form."""
+        q = 2**60
+        # a float64 division puts the exponent of the last two diagonal
+        # cells an ulp off, which at p = 0.15 moves their values
+        orders = [1, 2, 2**53 + 1, 71320213161695996, 222625075061555397]
+        batches = [1, 3, 2**53 - 1, 11593100697977884, 71689487253333982]
+        expected = np.array([[expected_recall_size(ModelParams(o, b, q, p))
+                              for b in batches] for o in orders])
+        assert np.array_equal(recall_size_surface(q, p, orders, batches),
+                              expected)
+
     @pytest.mark.parametrize("q,p", [
         (0, 0.15), (True, 0.15), (2.5, 0.15),
         (10, -0.1), (10, 1.5), (10, math.nan),

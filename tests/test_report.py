@@ -2,12 +2,15 @@
 
 import csv
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from batchfrag.model import ModelParams, expected_recall_size
-from batchfrag.montecarlo import EstimateConfig, estimate_recall, sweep
+from batchfrag.montecarlo import EstimateConfig, SweepGrid, estimate_recall, sweep
 from batchfrag.report import (
     LONG_CSV_HEADER,
+    _grid_comment,
     render_outcome,
     render_summary,
     write_fragments_curve,
@@ -74,6 +77,72 @@ class TestLongCsv:
         write_sweep(small_grid, b)
         assert a.read_bytes() == b.read_bytes()
         assert b"\r" not in a.read_bytes()
+
+
+# Cell values for the renderer: odd multiples of 2**-7 are exact six-decimal
+# rounding ties (k/128 = k * 0.0078125), multiples of 2**-20 sit near them,
+# and the rest are zeros, subnormals, large values and any double at all.
+cell_values = st.one_of(
+    st.integers(0, 2**20).map(lambda k: k / 2**7),
+    st.integers(0, 2**40).map(lambda k: k / 2**20),
+    st.sampled_from([0.0, -0.0, 0.0000005, 0.0000015, 2.5e-6, 5e-324,
+                     2.2250738585072014e-308]),
+    st.floats(1e12, 1e300),
+    st.floats(width=64),
+)
+# std_error is scaled by Z95 when rendered; keep that product finite
+std_errors = st.one_of(st.integers(0, 2**40).map(lambda k: k / 2**20),
+                       st.floats(0.0, 1e300))
+axes = st.lists(st.integers(1, 10**9), min_size=1, max_size=6,
+                unique=True).map(lambda v: tuple(sorted(v)))
+
+
+@st.composite
+def sweep_grids(draw):
+    """Any analytic-only or simulated grid, including 1-row and 1-column
+    ones, with arbitrary cell values."""
+    orders, batches = draw(axes, label="orders"), draw(axes, label="batches")
+    size = len(orders) * len(batches)
+
+    def matrix(values):
+        cells = draw(st.lists(values, min_size=size, max_size=size))
+        return np.array(cells, dtype=np.float64).reshape(len(orders), -1)
+
+    grid = dict(total_quantity=draw(st.integers(1, 10**12)),
+                crisis_prob=draw(cell_values), order_sizes=orders,
+                batch_sizes=batches, analytic=matrix(cell_values))
+    if draw(st.booleans(), label="simulated"):
+        grid.update(sim_mean=matrix(cell_values), abs_error=matrix(cell_values),
+                    std_error=matrix(std_errors),
+                    mean_abs_error_pct=draw(cell_values),
+                    n_trials=draw(st.integers(1, 10**6)),
+                    base_seed=draw(st.integers(-2**63, 2**64)))
+    return SweepGrid(**grid)
+
+
+def per_cell_long_csv(grid):
+    """The long CSV written one cell at a time with f-strings."""
+    lines = [LONG_CSV_HEADER]
+    for i, o in enumerate(grid.order_sizes):
+        for j, b in enumerate(grid.batch_sizes):
+            a = float(grid.analytic[i, j])
+            if grid.sim_mean is None:
+                lines.append(f"{o},{b},{a:.6f},,,")
+            else:
+                m, e, c = (float(x[i, j]) for x in (
+                    grid.sim_mean, grid.abs_error, grid.ci95_half_width))
+                lines.append(f"{o},{b},{a:.6f},{m:.6f},{e:.6f},{c:.6f}")
+    lines.append(_grid_comment(grid))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestLongCsvBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(grid=sweep_grids())
+    def test_equals_per_cell_f_strings(self, grid, tmp_path_factory):
+        path = tmp_path_factory.mktemp("grid") / "grid.csv"
+        write_sweep(grid, path)
+        assert path.read_bytes() == per_cell_long_csv(grid)
 
 
 class TestFragmentsCurve:

@@ -1,5 +1,7 @@
 """FIFO fulfillment simulator: hand traces, invariants, determinism."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +169,21 @@ class TestTrialConfig:
         with pytest.raises(InvalidParamsError,
                            match=r"^rng_seed must be an integer, got True$"):
             TrialConfig(params, 0, True)
+
+    @pytest.mark.parametrize("seed", [1.5, None, "x", True, np.True_],
+                             ids=["fraction", "none", "str", "bool", "np-bool"])
+    def test_from_seed_checks_seed_as_constructor_does(self, seed):
+        with pytest.raises(InvalidParamsError) as built:
+            TrialConfig(make_params(), 0, seed)
+        with pytest.raises(InvalidParamsError,
+                           match=f"^{re.escape(str(built.value))}$"):
+            TrialConfig.from_seed(make_params(), seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), 3.0], ids=["int64", "float"])
+    def test_from_seed_accepts_integral_seeds(self, seed):
+        config = TrialConfig.from_seed(make_params(), seed)
+        assert config == TrialConfig.from_seed(make_params(), 3)
+        assert type(config.rng_seed) is int
 
     def test_crisis_flags_independent_of_consumption(self):
         """Output 0 is reserved either way, so flags never shift."""
