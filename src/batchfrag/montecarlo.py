@@ -169,7 +169,7 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     orders = np.array(order_sizes, dtype=np.int64)
     bases = np.array([s % 2**64 for s in base_seeds], dtype=np.uint64)
     split = int(np.searchsorted(orders, b, side="right"))
-    batch_axis = _batch_axis_tables(orders[:split], b, q, n_batches, n)
+    batch_axis = _batch_axis_tables(orders[:split], b, q, n_batches)
     order_axis = _order_axis_tables(orders[split:], b, q)
     # numpy's row-by-row passes (einsum, take, outer) need a few tens of
     # columns to run at speed, so horizons past 4096 batches keep chunks
@@ -195,7 +195,7 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
             k = (mid - c0) * (t1 - t0)
             if mid > c0:
                 recalls[c0:mid, t0:t1] = _batch_axis_recalls(
-                    batch_axis, b, np.arange(c0, mid), u[:k],
+                    batch_axis, b, q, np.arange(c0, mid), u[:k],
                     crisis[:, :k]).reshape(mid - c0, -1)
             if c1 > mid:
                 recalls[mid:c1, t0:t1] = _order_axis_recalls(
@@ -268,32 +268,41 @@ def _prefix_counts(crisis: np.ndarray) -> np.ndarray:
     return prefix
 
 
-def _batch_axis_tables(order_sizes: np.ndarray, b: int, q: int, n_batches: int,
-                       n: int) -> tuple[np.ndarray, ...]:
-    """Unit tables of every cell in ``order_sizes`` for
-    :func:`_batch_axis_recalls`, and W and S tabulated over every u in
-    [0, B) (columns cell * B + u) when B is at most the trial count n, else
-    None.
+def _batch_axis_tables(order_sizes: np.ndarray, b: int, q: int,
+                       n_batches: int) -> tuple[np.ndarray, np.ndarray]:
+    """W and S of :func:`_batch_axis_recalls` for every batch j (rows) and
+    every cell in ``order_sizes`` and initial consumption u in [lo, B)
+    (columns ``cell * (B - lo) + u - lo``), where ``lo = max(0, B - Q)``:
+    every smaller u puts all of the horizon in batch 0, as u = lo does.
 
-    ``start_of[c, t]`` is the start of the order holding unit t (Q for
-    t = Q) and ``end_before[c, t]`` the end of the order holding unit
-    t - 1 (0 for t = 0), for cell c's order size.
+    Batch j spans horizon units [c_j, c_j+1) with boundaries
+    ``c_j = clip(j*B - u, 0, Q)``. W_j runs from the start of the order
+    holding unit c_j (``c - c % O``, or Q at c = Q) to the end of the order
+    holding unit c_j+1 - 1 (``min(ceil(c / O) * O, Q)``), and S_j from the
+    start of the order holding unit c_j+1 to the end of the one holding
+    c_j+1 - 1, which is 0 unless one order holds both. Each table has
+    at most Q + 2B entries per cell when B <= Q and 2Q when B > Q.
     """
-    unit = np.arange(q + 1, dtype=_sum_type(q))
-    o = order_sizes.astype(unit.dtype)[:, None]
-    into = unit % o
-    start_of = unit - into
-    start_of[:, q] = q
-    end_before = np.minimum(np.where(into, start_of + o, unit), q)
-    if b > n:
-        return start_of, end_before, None
-    return start_of, end_before, _batch_tables(
-        start_of, end_before, b, n_batches,
-        np.repeat(np.arange(len(order_sizes)), b),
-        np.tile(np.arange(b), len(order_sizes)))
+    lo = max(0, b - q)
+    dtype = _sum_type(q)
+    bounds = (np.arange(0, (n_batches + 1) * b, b, dtype=np.int64)[:, None]
+              - np.arange(lo, b))
+    bounds = np.clip(bounds, 0, q).astype(dtype)[:, None]
+    o = order_sizes.astype(dtype)[:, None]
+    start = bounds % o
+    np.subtract(bounds, start, out=start)
+    np.copyto(start, q, where=bounds == q)
+    end = -bounds % o
+    end += bounds
+    np.minimum(end, q, out=end)
+    start = start.reshape(n_batches + 1, -1)
+    end = end.reshape(n_batches + 1, -1)
+    straddle = end[1:-1] - start[1:-1]
+    np.subtract(end[1:], start[:-1], out=end[1:])
+    return end[1:], straddle
 
 
-def _batch_axis_recalls(tables: tuple[np.ndarray, ...], b: int,
+def _batch_axis_recalls(tables: tuple[np.ndarray, np.ndarray], b: int, q: int,
                         cells: np.ndarray, u: np.ndarray,
                         crisis: np.ndarray) -> np.ndarray:
     """Recalls reduced batch by batch, for orders no longer than batches.
@@ -303,42 +312,16 @@ def _batch_axis_recalls(tables: tuple[np.ndarray, ...], b: int,
     sum_j crisis_j * crisis_j+1 * S_j(u)``, with W_j the total size of the
     orders touching batch j and S_j the size of the order straddling the
     boundary between batches j and j + 1. ``u`` and ``crisis`` hold the
-    columns of ``cells``, cell-major. W and S are read from the tables
-    tabulated over u when there are some, else evaluated at the drawn u,
-    so they never exceed O(trials + cells * Q) entries.
+    columns of ``cells``, cell-major; W and S are read from the tables of
+    :func:`_batch_axis_tables` at column ``cell * (B - lo) + max(u, lo) - lo``.
     """
-    start_of, end_before, tabulated = tables
-    if tabulated is not None:
-        at = ((cells * b)[:, None] + u.reshape(len(cells), -1)).reshape(-1)
-        touch, straddle = (np.take(t, at, axis=1) for t in tabulated)
-    else:
-        touch, straddle = _batch_tables(
-            start_of, end_before, b, crisis.shape[0],
-            np.repeat(cells, len(u) // len(cells)), u)
+    lo = max(0, b - q)
+    at = ((cells * (b - lo) - lo)[:, None]
+          + np.maximum(u, lo).reshape(len(cells), -1)).reshape(-1)
+    touch, straddle = (np.take(t, at, axis=1) for t in tables)
     both = crisis[:-1] & crisis[1:]
     return (np.einsum("ji,ji->i", crisis, touch)
             - np.einsum("ji,ji->i", both, straddle))
-
-
-def _batch_tables(start_of: np.ndarray, end_before: np.ndarray, b: int,
-                  n_batches: int, cells: np.ndarray,
-                  offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W_j and S_j of :func:`_batch_axis_recalls` for every batch j (rows)
-    and (cell, initial consumption) pair in ``cells`` and ``offsets``
-    (columns), from the unit tables of :func:`_batch_axis_tables`.
-
-    Batch j spans horizon units [c_j, c_j+1) with boundaries
-    ``c_j = clip(j*B - u, 0, Q)``. W_j runs from the start of the order
-    holding unit c_j to the end of the order holding unit c_j+1 - 1, and
-    S_j from the start of the order holding unit c_j+1 to the end of the
-    one holding c_j+1 - 1, which is 0 unless one order holds both.
-    """
-    q = start_of.shape[1] - 1
-    bounds = np.arange(0, (n_batches + 1) * b, b)[:, None] - offsets
-    np.clip(bounds, 0, q, out=bounds)
-    bounds += cells * (q + 1)
-    ends, starts = np.take(end_before, bounds), np.take(start_of, bounds)
-    return ends[1:] - starts[:-1], ends[1:-1] - starts[1:-1]
 
 
 def _sum_type(q: int) -> type:
@@ -380,8 +363,10 @@ def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
     Always fills the analytic surface; with ``include_simulation`` each cell
     also gets a Monte Carlo estimate seeded from (base_seed, o, b) and the
     grid-level mean absolute error as a percentage of the quantity. Each
-    cell's estimate equals ``estimate_recall`` of that cell alone; the
-    cells of one batch size are simulated together, in one kernel call.
+    cell's estimate equals ``estimate_recall`` of that cell alone. The
+    cells of one batch size are simulated together, up to
+    ``max(1, _CHUNK_OUTPUTS // n_trials)`` of them (13 at 10,000 trials)
+    per :func:`_group_recalls` call.
     """
     orders = _check_axis("order_size", order_sizes)
     batches = _check_axis("batch_size", batch_sizes)

@@ -80,7 +80,8 @@ class TestTrialRecalls:
         q = data.draw(st.integers(2 if orders_longer else 1, 80), label="Q")
         o = data.draw(st.integers(2 if orders_longer else 1, q), label="O")
         b = data.draw(st.integers(1, o - 1) if orders_longer
-                      else st.integers(o, 120), label="B")
+                      else st.one_of(st.integers(o, 120),
+                                     st.integers(o, 10**6)), label="B")
         p = data.draw(st.one_of(
             st.sampled_from([0.0, 1.0, 0.5]),
             st.integers(0, 2**12).map(lambda k: k * 2.0**-53),
@@ -110,6 +111,21 @@ class TestTrialRecalls:
             tracemalloc.stop()
         assert recalls.shape == (10_000,)
         assert peak < 128 * 2**20
+
+    @pytest.mark.parametrize("o", [1, 7])
+    def test_memory_independent_of_batch_size(self, o):
+        """Initial consumptions below B - Q all put the horizon in batch 0,
+        so the batch-axis tables cover at most Q of them: a table over every
+        u in [0, B) would need tens of MB here."""
+        config = EstimateConfig(ModelParams(o, 10**7, 50, 0.15), 20, 1)
+        tracemalloc.start()
+        try:
+            recalls = trial_recalls(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert recalls.shape == (20,)
+        assert peak < 2**20
 
     def test_bounded_by_quantity(self):
         config = EstimateConfig(ModelParams(9, 5, 47, 0.4), 500, 3)
