@@ -91,15 +91,12 @@ def _boolean(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
 
 
-def _read_config(path: str,
-                 sub: argparse.ArgumentParser) -> dict[str, object]:
+def _read_config(path: str, command: str) -> dict[str, object]:
     """Read ``key = value`` lines; ``#`` starts a comment line. Keys are the
-    long names of the subcommand's own flags, and each value goes through
-    that flag's parser (``_boolean`` for on/off flags). Returns the values
-    by flag ``dest``, ready for ``set_defaults``."""
-    actions = {s[2:]: action for action in sub._actions
-               for s in action.option_strings if s.startswith("--")
-               and action.dest not in ("config", "version", "help")}
+    long names of ``command``'s own flags, and each value goes through that
+    flag's converter in ``_FLAGS``. Returns the values by flag ``dest``,
+    ready for ``set_defaults``."""
+    flags = _COMMANDS[command][2]
     entries: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -111,12 +108,11 @@ def _read_config(path: str,
             if not sep or not key or not value:
                 raise UsageError(
                     f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            if key not in actions:
+            if key not in flags:
                 raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-            action = actions[key]
-            convert = _boolean if action.nargs == 0 else action.type or str
+            convert = _FLAGS[key][1] or str
             try:
-                entries[action.dest] = convert(value)
+                entries[key.replace("-", "_")] = convert(value)
             except argparse.ArgumentTypeError as exc:
                 raise UsageError(f"config option {key}: {exc}") from exc
     return entries
@@ -240,25 +236,53 @@ def _cmd_fragments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _finish(sub: argparse.ArgumentParser, func) -> None:
-    """Add the flags every subcommand shares and set its handler; the
-    subparser itself is kept so that ``main`` can apply a --config file."""
-    sub.add_argument("--config", metavar="PATH",
-                     help="key = value file; flags take precedence")
-    sub.add_argument("--version", action="version",
-                     version=f"%(prog)s {__version__}")
-    sub.set_defaults(func=func, subparser=sub)
+# Every flag, declared once: long name -> (short spelling, converter,
+# default, metavar, help). ``_boolean`` marks an on/off flag, which is set
+# by its presence; a flag without a converter takes its text as it is.
+_FLAGS = {
+    "order-size": ("-O", _integer, None, "N", "units per customer order"),
+    "batch-size": ("-B", _integer, None, "N", "units per production batch"),
+    "quantity": ("-Q", _integer, None, "N", "total ordered quantity"),
+    "crisis-prob": ("-p", _probability, None, "P",
+                    "batch crisis probability (0.15 or 15%%)"),
+    "crisis-probs": (None, _probability_list, None, "P1,P2,...",
+                     "one output file per probability"),
+    "order-range": (None, _int_range, None, "A:B",
+                    "inclusive order-size range"),
+    "batch-range": (None, _int_range, None, "A:B",
+                    "inclusive batch-size range"),
+    "trials": ("-n", _integer, 10_000, "N",
+               "trials per parameter point (default %(default)s)"),
+    "seed": (None, _integer, 0, "N", "base seed (default %(default)s)"),
+    "dump-trial": (None, _boolean, False, None,
+                   "render the first trial's fulfillment"),
+    "analytic-only": (None, _boolean, False, None,
+                      "skip the simulation columns"),
+    "divisors-only": (None, _boolean, False, None,
+                      "keep only order sizes dividing the quantity"),
+    "out": (None, None, None, "PATH",
+            "output file; sweep and fragments require it"),
+}
 
+_POINT = ("order-size", "batch-size", "quantity", "crisis-prob")
 
-def _add_point_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-O", "--order-size", type=_integer, metavar="N",
-                     help="units per customer order")
-    sub.add_argument("-B", "--batch-size", type=_integer, metavar="N",
-                     help="units per production batch")
-    sub.add_argument("-Q", "--quantity", type=_integer, metavar="N",
-                     help="total ordered quantity")
-    sub.add_argument("-p", "--crisis-prob", type=_probability, metavar="P",
-                     help="batch crisis probability (0.15 or 15%%)")
+# Each subcommand: its handler, its help line and the flags it takes.
+_COMMANDS = {
+    "analytic": (_cmd_analytic, "evaluate the closed-form model at one point",
+                 (*_POINT, "out")),
+    "simulate": (_cmd_simulate,
+                 "Monte Carlo estimate at one point vs. closed form",
+                 (*_POINT, "trials", "seed", "dump-trial", "out")),
+    "sweep": (_cmd_sweep, "grid of recall sizes over order/batch ranges",
+              ("quantity", "crisis-prob", "crisis-probs", "order-range",
+               "batch-range", "trials", "seed", "analytic-only",
+               "divisors-only", "out")),
+    "validate": (_cmd_validate, "rerun the reference validation sweep",
+                 ("trials", "seed", "out")),
+    "fragments": (_cmd_fragments,
+                  "expected-fragmentation curve for one order size",
+                  ("order-size", "batch-range", "out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,74 +290,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="batchfrag",
         description="Batch fragmentation and recall-size model with a "
                     "Monte Carlo validation harness.")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
+    version = dict(action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--version", **version)
     commands = parser.add_subparsers(dest="command", required=True,
                                      metavar="command")
-
-    analytic = commands.add_parser(
-        "analytic", help="evaluate the closed-form model at one point")
-    _add_point_flags(analytic)
-    analytic.add_argument("--out", metavar="PATH",
-                          help="also write the report to a file")
-    _finish(analytic, _cmd_analytic)
-
-    simulate = commands.add_parser(
-        "simulate", help="Monte Carlo estimate at one point vs. closed form")
-    _add_point_flags(simulate)
-    simulate.add_argument("-n", "--trials", type=_integer, default=10_000,
-                          metavar="N",
-                          help="trial count (default %(default)s)")
-    simulate.add_argument("--seed", type=_integer, default=0, metavar="N",
-                          help="base seed (default %(default)s)")
-    simulate.add_argument("--dump-trial", action="store_true",
-                          help="render the first trial's fulfillment")
-    simulate.add_argument("--out", metavar="PATH",
-                          help="also write the summary to a file")
-    _finish(simulate, _cmd_simulate)
-
-    sweep_cmd = commands.add_parser(
-        "sweep", help="grid of recall sizes over order/batch ranges")
-    sweep_cmd.add_argument("-Q", "--quantity", type=_integer, metavar="N")
-    sweep_cmd.add_argument("-p", "--crisis-prob", type=_probability,
-                           metavar="P")
-    sweep_cmd.add_argument("--crisis-probs", type=_probability_list,
-                           metavar="P1,P2,...",
-                           help="one output file per probability")
-    sweep_cmd.add_argument("--order-range", type=_int_range, metavar="A:B",
-                           help="inclusive order-size range")
-    sweep_cmd.add_argument("--batch-range", type=_int_range, metavar="A:B",
-                           help="inclusive batch-size range")
-    sweep_cmd.add_argument("-n", "--trials", type=_integer, default=10_000,
-                           metavar="N",
-                           help="trials per cell (default %(default)s)")
-    sweep_cmd.add_argument("--seed", type=_integer, default=0, metavar="N",
-                           help="base seed (default %(default)s)")
-    sweep_cmd.add_argument("--analytic-only", action="store_true",
-                           help="skip the simulation columns")
-    sweep_cmd.add_argument("--divisors-only", action="store_true",
-                           help="keep only order sizes dividing the quantity")
-    sweep_cmd.add_argument("--out", metavar="PATH", help="output CSV path")
-    _finish(sweep_cmd, _cmd_sweep)
-
-    validate = commands.add_parser(
-        "validate", help="rerun the reference validation sweep")
-    validate.add_argument("-n", "--trials", type=_integer, default=10_000,
-                          metavar="N",
-                          help="trials per cell (default %(default)s)")
-    validate.add_argument("--seed", type=_integer, default=0, metavar="N",
-                          help="base seed (default %(default)s)")
-    validate.add_argument("--out", metavar="PATH",
-                          help="also write the sweep CSV")
-    _finish(validate, _cmd_validate)
-
-    fragments = commands.add_parser(
-        "fragments", help="expected-fragmentation curve for one order size")
-    fragments.add_argument("-O", "--order-size", type=_integer, metavar="N")
-    fragments.add_argument("--batch-range", type=_int_range, metavar="A:B")
-    fragments.add_argument("--out", metavar="PATH", help="output CSV path")
-    _finish(fragments, _cmd_fragments)
-
+    for command, (_, help_line, flags) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=help_line)
+        for name in flags:
+            short, convert, default, metavar, help_text = _FLAGS[name]
+            spellings = (short, "--" + name) if short else ("--" + name,)
+            kind = (dict(action="store_true") if convert is _boolean
+                    else dict(type=convert, metavar=metavar))
+            sub.add_argument(*spellings, default=default, help=help_text,
+                             **kind)
+        sub.add_argument("--config", metavar="PATH",
+                         help="key = value file; flags take precedence")
+        sub.add_argument("--version", **version)
+        # kept so that ``main`` can apply a --config file as defaults
+        sub.set_defaults(subparser=sub)
     return parser
 
 
@@ -344,9 +318,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             # File values become the subcommand's defaults, so flags still win.
             args.subparser.set_defaults(
-                **_read_config(args.config, args.subparser))
+                **_read_config(args.config, args.command))
             args = parser.parse_args(argv)
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except (UsageError, ValueError) as exc:  # InvalidParamsError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -221,16 +221,27 @@ def expected_recall_size(params: ModelParams) -> float:
     return params.total_quantity * recall_probability(params)
 
 
+def _check_grid(total_quantity: int, crisis_prob: float,
+                order_sizes: Sequence[int], batch_sizes: Sequence[int]
+                ) -> tuple[int, float, tuple[int, ...], tuple[int, ...]]:
+    """Check a grid's inputs as :class:`ModelParams` checks every cell, in
+    its order: both axes by :func:`_check_axis`, then Q and p, then O <= Q
+    at the largest order size. Returns them normalised, in argument order."""
+    orders = _check_axis("order_size", order_sizes)
+    batches = _check_axis("batch_size", batch_sizes)
+    corner = ModelParams(orders[-1], batches[0], total_quantity, crisis_prob)
+    return corner.total_quantity, corner.crisis_prob, orders, batches
+
+
 def recall_size_surface(total_quantity: int, crisis_prob: float,
                         order_sizes: Sequence[int],
                         batch_sizes: Sequence[int]) -> np.ndarray:
     """:func:`expected_recall_size` of every (order size, batch size) cell,
     as a float matrix indexed [order size index, batch size index].
 
-    The quantity and the probability are checked once, as
-    :class:`ModelParams` checks them. The axes must already have passed
-    :func:`_check_axis`, with order sizes no larger than the quantity:
-    :func:`batchfrag.montecarlo.sweep` checks both before it calls this.
+    The inputs are checked once, as :class:`ModelParams` checks each cell:
+    the axes must be nonempty and strictly ascending, and every order size
+    at most the quantity (:func:`_check_grid`).
 
     Every cell equals :func:`expected_recall_size` bit for bit. The
     exponents ``(O + B - 1) / B`` are one numpy division over the grid:
@@ -240,8 +251,14 @@ def recall_size_surface(total_quantity: int, crisis_prob: float,
     then applies Python's ``**`` one row at a time, and the product with Q
     is the same IEEE multiplication as ``Q * prob``.
     """
-    q = _check_positive_int("total_quantity", total_quantity)
-    p = _check_probability("crisis_prob", crisis_prob)
+    return _recall_size_surface(*_check_grid(total_quantity, crisis_prob,
+                                             order_sizes, batch_sizes))
+
+
+def _recall_size_surface(q: int, p: float, order_sizes: tuple[int, ...],
+                         batch_sizes: tuple[int, ...]) -> np.ndarray:
+    """:func:`recall_size_surface` on inputs that have already passed
+    :func:`_check_grid`, as :func:`batchfrag.montecarlo.sweep`'s have."""
     exact = order_sizes[-1] - 1 + batch_sizes[-1] <= 2**53
     dtype = np.float64 if exact else object
     orders = np.array(order_sizes, dtype=dtype)[:, None]

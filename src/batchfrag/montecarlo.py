@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (ModelParams, _check_axis, _check_positive_int,
-                    recall_size_surface)
+from .model import (ModelParams, _check_grid, _check_positive_int,
+                    _recall_size_surface)
 from .seeding import (derive_seed, derive_seeds, stream_outputs, unit_floats,
                       unit_threshold)
 
@@ -49,7 +49,8 @@ Z98 = 2.326
 # takes n_batches + 1 stream outputs plus about ten words of per-column
 # vectors (seeds, draws, table indices, sums). Chunks this small stay close
 # to a core's cache, and memory does not grow with the trial count or the
-# grid. A sweep also gives each kernel call at most this many recalls.
+# grid. A sweep also caps each kernel call at this many recalls and this
+# many words in each batch-axis table.
 _CHUNK_OUTPUTS = 1 << 17
 
 
@@ -160,7 +161,8 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     Columns are processed in chunks with a working set of about
     ``_CHUNK_OUTPUTS`` words (more on horizons past 4096 batches): whole
     cells at a time when a cell's trials fit, else part of one cell. Memory
-    beyond the result therefore grows with neither n nor the grid; the
+    beyond the result and the per-cell tables therefore grows with neither
+    n nor the grid (``sweep`` bounds both by the cells it passes); the
     recalls are exact integers, so chunking cannot change them.
     """
     # widest horizon over all initial consumptions: ceil((q + b - 1) / b)
@@ -365,16 +367,15 @@ def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
     grid-level mean absolute error as a percentage of the quantity. Each
     cell's estimate equals ``estimate_recall`` of that cell alone. The
     cells of one batch size are simulated together, up to
-    ``max(1, _CHUNK_OUTPUTS // n_trials)`` of them (13 at 10,000 trials)
-    per :func:`_group_recalls` call.
+    ``max(1, _CHUNK_OUTPUTS // max(n_trials, tables))`` of them per
+    :func:`_group_recalls` call, where ``tables`` is the size of one
+    cell's W/S tables, ``(ceil((Q + B - 1) / B) + 1) * min(B, Q)`` words
+    (13 cells at 10,000 trials in ``validate``, whose tables hold at most
+    192 words).
     """
-    orders = _check_axis("order_size", order_sizes)
-    batches = _check_axis("batch_size", batch_sizes)
-    # the largest order size is the binding cell: ModelParams checks Q, p
-    # and O <= Q in its own order and words
-    corner = ModelParams(orders[-1], batches[0], quantity, crisis_prob)
-    q, p = corner.total_quantity, corner.crisis_prob
-    analytic = recall_size_surface(q, p, orders, batches)
+    q, p, orders, batches = _check_grid(quantity, crisis_prob, order_sizes,
+                                        batch_sizes)
+    analytic = _recall_size_surface(q, p, orders, batches)
 
     if not include_simulation:
         return SweepGrid(total_quantity=q, crisis_prob=p, order_sizes=orders,
@@ -384,8 +385,11 @@ def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
     seed = _check_positive_int("base_seed", base_seed, minimum=None)
     sim_mean = np.empty_like(analytic)
     std_error = np.empty_like(analytic)
-    step = max(1, _CHUNK_OUTPUTS // n)
     for j, b in enumerate(batches):
+        # a cell brings n recalls, or W and S tables of (n_batches + 1) *
+        # min(B, Q) words each on the batch axis, whichever is more
+        table = ((q + 2 * b - 2) // b + 1) * min(b, q)
+        step = max(1, _CHUNK_OUTPUTS // max(n, table))
         for i in range(0, len(orders), step):
             cells = orders[i:i + step]
             recalls = _group_recalls(cells, b, q, p,

@@ -115,18 +115,14 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def derive_seeds(base_seed: int | np.ndarray,
-                 components: np.ndarray) -> np.ndarray:
+def derive_seeds(base_seed: np.ndarray, components: np.ndarray) -> np.ndarray:
     """Vectorized :func:`derive_seed` with one final component.
 
-    ``base_seed`` is an int or a uint64 array of bases (one per cell, say);
-    it is broadcast against ``components``, and each result element is
+    ``base_seed`` is a uint64 array of bases (one per cell, say); it is
+    broadcast against ``components``, and each result element is
     ``derive_seed(base, component)``.
     """
-    if isinstance(base_seed, np.ndarray):
-        base = base_seed.astype(np.uint64, copy=False) + np.uint64(_GOLDEN)
-    else:
-        base = np.uint64((base_seed + _GOLDEN) & _MASK64)
+    base = base_seed.astype(np.uint64, copy=False) + np.uint64(_GOLDEN)
     return _mix64_inplace(base + components.astype(np.uint64, copy=False))
 
 

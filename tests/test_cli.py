@@ -1,5 +1,6 @@
 """Command-line interface: workflows, exit statuses, config handling."""
 
+import argparse
 import hashlib
 import subprocess
 import sys
@@ -210,6 +211,53 @@ class TestSweep:
 
 _POINT = "order-size = 10\nbatch-size = 4\nquantity = 50\ncrisis-prob = 0.15\n"
 
+# Each subcommand's flags as the parser had them before the flags moved into
+# one table: (long name, short spelling, default, metavar, converter name).
+_PARSER_FLAGS = {
+    "analytic": [
+        ("--order-size", "-O", None, "N", "_integer"),
+        ("--batch-size", "-B", None, "N", "_integer"),
+        ("--quantity", "-Q", None, "N", "_integer"),
+        ("--crisis-prob", "-p", None, "P", "_probability"),
+        ("--out", None, None, "PATH", None)],
+    "simulate": [
+        ("--order-size", "-O", None, "N", "_integer"),
+        ("--batch-size", "-B", None, "N", "_integer"),
+        ("--quantity", "-Q", None, "N", "_integer"),
+        ("--crisis-prob", "-p", None, "P", "_probability"),
+        ("--trials", "-n", 10000, "N", "_integer"),
+        ("--seed", None, 0, "N", "_integer"),
+        ("--dump-trial", None, False, None, None),
+        ("--out", None, None, "PATH", None)],
+    "sweep": [
+        ("--quantity", "-Q", None, "N", "_integer"),
+        ("--crisis-prob", "-p", None, "P", "_probability"),
+        ("--crisis-probs", None, None, "P1,P2,...", "_probability_list"),
+        ("--order-range", None, None, "A:B", "_int_range"),
+        ("--batch-range", None, None, "A:B", "_int_range"),
+        ("--trials", "-n", 10000, "N", "_integer"),
+        ("--seed", None, 0, "N", "_integer"),
+        ("--analytic-only", None, False, None, None),
+        ("--divisors-only", None, False, None, None),
+        ("--out", None, None, "PATH", None)],
+    "validate": [
+        ("--trials", "-n", 10000, "N", "_integer"),
+        ("--seed", None, 0, "N", "_integer"),
+        ("--out", None, None, "PATH", None)],
+    "fragments": [
+        ("--order-size", "-O", None, "N", "_integer"),
+        ("--batch-range", None, None, "A:B", "_int_range"),
+        ("--out", None, None, "PATH", None)],
+}
+
+# A valid config value for every flag any subcommand takes.
+_CONFIG_VALUES = {
+    "order-size": "10", "batch-size": "4", "quantity": "50",
+    "crisis-prob": "15%", "crisis-probs": "0.1,0.2", "order-range": "1:2",
+    "batch-range": "1:2", "trials": "100", "seed": "3", "dump-trial": "yes",
+    "analytic-only": "on", "divisors-only": "false", "out": "x.csv",
+}
+
 
 class TestConfigFile:
     def test_config_supplies_missing_flags(self, capsys, tmp_path):
@@ -258,6 +306,22 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert f"unknown option {key.split()[0]!r}" in err
+
+    @pytest.mark.parametrize("command", list(_PARSER_FLAGS))
+    @pytest.mark.parametrize("key", list(_CONFIG_VALUES))
+    def test_key_is_known_exactly_where_its_flag_is(
+            self, capsys, tmp_path, command, key):
+        """A trailing unknown key stops every run before it does any work;
+        which key it names shows whether the flag's own key was accepted."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {_CONFIG_VALUES[key]}\nno-such-flag = 1\n",
+                       encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        taken = any(flag[0] == "--" + key for flag in _PARSER_FLAGS[command])
+        rejected = "no-such-flag" if taken else key
+        assert f"unknown option {rejected!r}" in err
 
     def test_missing_config_file_is_io_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "analytic", "--config",
@@ -409,6 +473,25 @@ class TestParserContract:
                 main([cmd, "--help"])
             assert exc.value.code == 0
             assert "--help" in capsys.readouterr().out
+
+    def test_flag_sets_are_pinned(self):
+        """Every subcommand takes the same flags, with the same spellings,
+        defaults, metavars and converters, as before the flag table."""
+        commands = next(action for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        found = {}
+        for command, sub in commands.choices.items():
+            found[command] = [
+                (action.option_strings[-1],
+                 action.option_strings[0] if len(action.option_strings) > 1
+                 else None,
+                 action.default, action.metavar,
+                 getattr(action.type, "__name__", None))
+                for action in sub._actions
+                if action.dest not in ("help", "config", "version")]
+        assert found == _PARSER_FLAGS
+        assert set(_CONFIG_VALUES) == {
+            flag[0][2:] for flags in _PARSER_FLAGS.values() for flag in flags}
 
     def test_console_script_is_installed(self):
         proc = subprocess.run([sys.executable, "-m", "batchfrag.cli",

@@ -21,6 +21,7 @@ from batchfrag.model import (
     recall_size_formula,
     recall_size_surface,
 )
+from batchfrag.montecarlo import sweep
 
 order_sizes = st.integers(min_value=1, max_value=300)
 batch_sizes = st.integers(min_value=1, max_value=300)
@@ -238,6 +239,22 @@ class TestRecallSurface:
         with pytest.raises(InvalidParamsError,
                            match=f"^{re.escape(str(cell.value))}$"):
             recall_size_surface(q, p, [1], [1, 2])
+
+
+    @pytest.mark.parametrize("orders,batches", [
+        ([1, 0], [2]), ([-3], [2]), ([2.5], [2]), ([True], [2]),
+        ([1], [0]), ([1], [-3]), ([1], [2.5]), ([1], [True]),
+        ([], [2]), ([1], []), ([3, 2], [2]), ([1], [2, 2]), ([1, 60], [2]),
+    ], ids=[f"{axis}-{case}" for axis in ("order", "batch")
+            for case in ("zero", "negative", "fraction", "bool")]
+       + ["order-empty", "batch-empty", "order-descending", "batch-repeated",
+          "order-above-quantity"])
+    def test_rejects_what_sweep_rejects_on_an_axis(self, orders, batches):
+        with pytest.raises(InvalidParamsError) as grid:
+            sweep(50, 0.15, orders, batches, include_simulation=False)
+        with pytest.raises(InvalidParamsError,
+                           match=f"^{re.escape(str(grid.value))}$"):
+            recall_size_surface(50, 0.15, orders, batches)
 
 
 class TestLimits:

@@ -292,6 +292,19 @@ class TestSweep:
         assert grid.sim_mean.shape == (3, 1)
         assert peak < 32 * 2**20
 
+    def test_memory_bounded_for_many_cells_at_few_trials(self):
+        """At few trials the cells per kernel call are capped by the size of
+        their W/S tables, not by the trial count alone, so memory does not
+        grow with the grid (a trial-count cap alone peaks at ~30 MiB here)."""
+        tracemalloc.start()
+        try:
+            grid = sweep(5000, 0.15, range(1, 201), [300, 4000], n_trials=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.sim_mean.shape == (200, 2)
+        assert peak < 4 * 2**20
+
     def test_axis_validation(self):
         with pytest.raises(ValueError):
             sweep(50, 0.15, [], [1, 2])

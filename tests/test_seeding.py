@@ -73,7 +73,7 @@ class TestDeriveSeed:
     def test_vectorized_matches_scalar(self):
         base = 99
         idx = np.arange(50, dtype=np.uint64)
-        vec = derive_seeds(base, idx)
+        vec = derive_seeds(np.array([base], dtype=np.uint64), idx)
         assert vec.tolist() == [derive_seed(base, i) for i in range(50)]
 
     @given(st.integers(min_value=0, max_value=2**64 - 1),
