@@ -9,6 +9,8 @@ grid runs in seconds; the reference configuration (orders 1..50, batches
 
 import argparse
 
+import numpy as np
+
 from batchfrag import sweep, write_sweep
 
 
@@ -24,15 +26,10 @@ def main() -> None:
     print(f"orders 1..25 x batches 1..50, {args.trials} trials per cell")
     print(f"mean absolute error: {grid.mean_abs_error_pct:.3f}% of Q")
 
-    worst = None
-    for i, o in enumerate(grid.order_sizes):
-        for j, b in enumerate(grid.batch_sizes):
-            if worst is None or grid.abs_error[i, j] > worst[0]:
-                worst = (grid.abs_error[i, j], o, b, grid.analytic[i, j],
-                         grid.sim_mean[i, j])
-    err, o, b, analytic, sim = worst
-    print(f"worst cell O={o}, B={b}: analytic {analytic:.3f} "
-          f"vs simulated {sim:.3f} (|err| {err:.3f})")
+    i, j = np.unravel_index(np.argmax(grid.abs_error), grid.abs_error.shape)
+    print(f"worst cell O={grid.order_sizes[i]}, B={grid.batch_sizes[j]}: "
+          f"analytic {grid.analytic[i, j]:.3f} vs simulated "
+          f"{grid.sim_mean[i, j]:.3f} (|err| {grid.abs_error[i, j]:.3f})")
 
     write_sweep(grid, args.out)
     print(f"wrote {args.out}")

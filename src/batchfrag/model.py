@@ -35,7 +35,6 @@ __all__ = [
     "recall_probability",
     "recall_probability_exact",
     "expected_recall_size",
-    "recall_size_surface",
     "recall_size_formula",
     "recall_limit_batch_inf",
     "recall_limit_order_inf",
@@ -162,17 +161,14 @@ def _order_crisis_prob(crisis_prob: float, exponents: np.ndarray) -> np.ndarray:
     """P(at least one of e independent batches is in crisis), for every
     exponent e of a float array ``exponents`` (1-D, or rows of a matrix).
 
-    ``1 - (1 - p)**e`` with the algebraically exact values returned at the
-    edges: p = 0 -> 0, p = 1 -> 1, e = 1 -> p (the float round trip
-    1-(1-p) is not the identity, the closed form is). The powers come from
-    Python's float ``**``, mapped in C over one row at a time
-    (``np.power`` differs from ``**`` by an ulp on some inputs); the
-    subtraction is the same IEEE operation in numpy as in Python.
+    ``1 - (1 - p)**e``, exactly 0 at p = 0 and 1 at p = 1 with no special
+    case (``1.0**e == 1.0`` and ``0.0**e == 0.0`` for every e >= 1). At
+    e = 1 it returns p itself, because the float round trip 1-(1-p) is not
+    the identity. The powers come from Python's float ``**``, mapped in C
+    over one row at a time (``np.power`` differs from ``**`` by an ulp on
+    some inputs); the subtraction is the same IEEE operation in numpy as
+    in Python.
     """
-    if crisis_prob == 0.0:
-        return np.zeros(exponents.shape)
-    if crisis_prob == 1.0:
-        return np.ones(exponents.shape)
     power = (1.0 - crisis_prob).__pow__
     powers = np.empty(exponents.shape)
     width = exponents.shape[-1]
@@ -207,8 +203,6 @@ def recall_probability_exact(params: ModelParams) -> float:
     at_min, at_max = _order_crisis_prob(
         params.crisis_prob,
         np.array([float(stats.fr_min), float(stats.fr_max)])).tolist()
-    if stats.p_fr_max == 0:
-        return at_min
     return float(stats.p_fr_min) * at_min + float(stats.p_fr_max) * at_max
 
 
@@ -233,32 +227,21 @@ def _check_grid(total_quantity: int, crisis_prob: float,
     return corner.total_quantity, corner.crisis_prob, orders, batches
 
 
-def recall_size_surface(total_quantity: int, crisis_prob: float,
-                        order_sizes: Sequence[int],
-                        batch_sizes: Sequence[int]) -> np.ndarray:
+def _recall_size_surface(q: int, p: float, order_sizes: tuple[int, ...],
+                         batch_sizes: tuple[int, ...]) -> np.ndarray:
     """:func:`expected_recall_size` of every (order size, batch size) cell,
-    as a float matrix indexed [order size index, batch size index].
-
-    The inputs are checked once, as :class:`ModelParams` checks each cell:
-    the axes must be nonempty and strictly ascending, and every order size
-    at most the quantity (:func:`_check_grid`).
+    as a float matrix indexed [order size index, batch size index], on inputs
+    that have passed :func:`_check_grid`: the analytic surface of
+    :func:`batchfrag.montecarlo.sweep`.
 
     Every cell equals :func:`expected_recall_size` bit for bit. The
     exponents ``(O + B - 1) / B`` are one numpy division over the grid:
     while ``O + B - 1 <= 2**53`` both operands are exact doubles, so it is
     the same correctly rounded quotient as Python's ``int / int`` (larger
     axes divide Python ints in an object array). :func:`_order_crisis_prob`
-    then applies Python's ``**`` one row at a time, and the product with Q
-    is the same IEEE multiplication as ``Q * prob``.
+    then maps Python's ``**`` over each row, and Q is applied by one IEEE
+    multiplication, the same as ``Q * prob``.
     """
-    return _recall_size_surface(*_check_grid(total_quantity, crisis_prob,
-                                             order_sizes, batch_sizes))
-
-
-def _recall_size_surface(q: int, p: float, order_sizes: tuple[int, ...],
-                         batch_sizes: tuple[int, ...]) -> np.ndarray:
-    """:func:`recall_size_surface` on inputs that have already passed
-    :func:`_check_grid`, as :func:`batchfrag.montecarlo.sweep`'s have."""
     exact = order_sizes[-1] - 1 + batch_sizes[-1] <= 2**53
     dtype = np.float64 if exact else object
     orders = np.array(order_sizes, dtype=dtype)[:, None]

@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (ModelParams, _check_grid, _check_positive_int,
-                    _recall_size_surface)
+from .model import (InvalidParamsError, ModelParams, _check_grid,
+                    _check_positive_int, _recall_size_surface)
 from .seeding import (derive_seed, derive_seeds, stream_outputs, unit_floats,
                       unit_threshold)
 
@@ -132,6 +132,7 @@ def trial_recalls(config: EstimateConfig) -> np.ndarray:
     :func:`sweep` runs on every batch-size group (see :func:`_group_recalls`).
     """
     params = config.params
+    _check_int64_horizon(params.batch_size, params.total_quantity)
     recalls = _group_recalls((params.order_size,), params.batch_size,
                              params.total_quantity, params.crisis_prob,
                              (config.base_seed,), config.n_trials)
@@ -215,8 +216,7 @@ def _order_axis_tables(order_sizes: np.ndarray, b: int,
     first = np.zeros(len(order_sizes) + 1, dtype=np.int64)
     np.cumsum(counts, out=first[1:])
     cell = np.repeat(np.arange(len(order_sizes)), counts)
-    starts = ((np.arange(first[-1]) - first[cell])
-              * order_sizes[cell]).astype(_sum_type(q))
+    starts = (np.arange(first[-1]) - first[cell]) * order_sizes[cell]
     ends = np.minimum(starts + order_sizes[cell], q) - 1
     return (ends - starts + 1, cell, first, starts // b, ends // b + 1,
             b - starts % b, b - ends % b)
@@ -326,6 +326,16 @@ def _batch_axis_recalls(tables: tuple[np.ndarray, np.ndarray], b: int, q: int,
             - np.einsum("ji,ji->i", both, straddle))
 
 
+def _check_int64_horizon(b: int, q: int) -> None:
+    """The kernel's int64 arithmetic is exact while ``B + Q < 2**63`` (it
+    forms ``2B - u`` with u >= B - Q); larger batch sizes are rejected
+    before any stream is drawn."""
+    if b + q >= 2**63:
+        raise InvalidParamsError(
+            f"batch_size must be below 2**63 - total_quantity = {2**63 - q}"
+            f" to simulate, got {b}")
+
+
 def _sum_type(q: int) -> type:
     """Integer type for recall sums up to twice the quantity q."""
     return np.int32 if 2 * q < 2**31 else np.int64
@@ -383,6 +393,7 @@ def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
 
     n = _check_positive_int("n_trials", n_trials)
     seed = _check_positive_int("base_seed", base_seed, minimum=None)
+    _check_int64_horizon(batches[-1], q)
     sim_mean = np.empty_like(analytic)
     std_error = np.empty_like(analytic)
     for j, b in enumerate(batches):

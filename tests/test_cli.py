@@ -101,6 +101,20 @@ class TestSimulate:
                                  "-Q", "20", "-p", "0.1", "-n", "0")
         assert (code, out, err) == (2, "", "error: n_trials must be >= 1, got 0\n")
 
+    def test_batch_size_past_int32_simulates(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "-O", "7", "-B",
+                               "3000000000", "-Q", "50", "-p", "0.5",
+                               "-n", "100")
+        assert code == 0
+        assert "simulated_mean" in out
+
+    @pytest.mark.parametrize("b", [2**63 - 50, 2**64 + 5])
+    def test_batch_size_beyond_int64_is_usage_error(self, capsys, b):
+        code, out, err = run_cli(capsys, "simulate", "-O", "7", "-B", str(b),
+                                 "-Q", "50", "-p", "0.5", "-n", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: batch_size must be below 2**63")
+
 
 class TestSweep:
     def test_analytic_only_ignores_trial_count(self, capsys, tmp_path):

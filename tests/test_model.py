@@ -19,7 +19,6 @@ from batchfrag.model import (
     recall_probability,
     recall_probability_exact,
     recall_size_formula,
-    recall_size_surface,
 )
 from batchfrag.montecarlo import sweep
 
@@ -199,6 +198,11 @@ def grids(draw):
     return q, orders, batches
 
 
+def surface(q, p, orders, batches):
+    """The analytic surface alone, as sweep computes it without trials."""
+    return sweep(q, p, orders, batches, include_simulation=False).analytic
+
+
 class TestRecallSurface:
     @settings(max_examples=300, deadline=None)
     @given(grid=grids(), p=st.one_of(
@@ -212,8 +216,7 @@ class TestRecallSurface:
         q, orders, batches = grid
         expected = np.array([[expected_recall_size(ModelParams(o, b, q, p))
                               for b in batches] for o in orders])
-        assert np.array_equal(recall_size_surface(q, p, orders, batches),
-                              expected)
+        assert np.array_equal(surface(q, p, orders, batches), expected)
 
     @pytest.mark.parametrize("p", [0.15, 1e-9, 0.0, 1.0])
     def test_axes_beyond_two_to_the_53_bit_for_bit(self, p):
@@ -226,8 +229,7 @@ class TestRecallSurface:
         batches = [1, 3, 2**53 - 1, 11593100697977884, 71689487253333982]
         expected = np.array([[expected_recall_size(ModelParams(o, b, q, p))
                               for b in batches] for o in orders])
-        assert np.array_equal(recall_size_surface(q, p, orders, batches),
-                              expected)
+        assert np.array_equal(surface(q, p, orders, batches), expected)
 
     @pytest.mark.parametrize("q,p", [
         (0, 0.15), (True, 0.15), (2.5, 0.15),
@@ -238,23 +240,31 @@ class TestRecallSurface:
             ModelParams(1, 1, q, p)
         with pytest.raises(InvalidParamsError,
                            match=f"^{re.escape(str(cell.value))}$"):
-            recall_size_surface(q, p, [1], [1, 2])
+            surface(q, p, [1], [1, 2])
 
-
-    @pytest.mark.parametrize("orders,batches", [
-        ([1, 0], [2]), ([-3], [2]), ([2.5], [2]), ([True], [2]),
-        ([1], [0]), ([1], [-3]), ([1], [2.5]), ([1], [True]),
-        ([], [2]), ([1], []), ([3, 2], [2]), ([1], [2, 2]), ([1, 60], [2]),
+    @pytest.mark.parametrize("orders,batches,message", [
+        ([1, 0], [2], "order_size must be >= 1, got 0"),
+        ([-3], [2], "order_size must be >= 1, got -3"),
+        ([2.5], [2], "order_size must be an integer, got 2.5"),
+        ([True], [2], "order_size must be an integer, got True"),
+        ([1], [0], "batch_size must be >= 1, got 0"),
+        ([1], [-3], "batch_size must be >= 1, got -3"),
+        ([1], [2.5], "batch_size must be an integer, got 2.5"),
+        ([1], [True], "batch_size must be an integer, got True"),
+        ([], [2], "order_sizes must be nonempty"),
+        ([1], [], "batch_sizes must be nonempty"),
+        ([3, 2], [2], "order_sizes must be strictly ascending, got (3, 2)"),
+        ([1], [2, 2], "batch_sizes must be strictly ascending, got (2, 2)"),
+        ([1, 60], [2], "order size exceeds total quantity (60 > 50)"),
     ], ids=[f"{axis}-{case}" for axis in ("order", "batch")
             for case in ("zero", "negative", "fraction", "bool")]
        + ["order-empty", "batch-empty", "order-descending", "batch-repeated",
           "order-above-quantity"])
-    def test_rejects_what_sweep_rejects_on_an_axis(self, orders, batches):
-        with pytest.raises(InvalidParamsError) as grid:
-            sweep(50, 0.15, orders, batches, include_simulation=False)
+    def test_rejects_a_bad_axis_with_its_message(self, orders, batches,
+                                                 message):
         with pytest.raises(InvalidParamsError,
-                           match=f"^{re.escape(str(grid.value))}$"):
-            recall_size_surface(50, 0.15, orders, batches)
+                           match=f"^{re.escape(message)}$"):
+            surface(50, 0.15, orders, batches)
 
 
 class TestLimits:

@@ -60,6 +60,9 @@ class TestTrialRecalls:
         (5, 100, 23, 0.9),
         (23, 23, 23, 1.0),
         (10, 4, 50, 0.0),
+        # batch sizes past int32, up to the last with B + Q below 2**63
+        *[(o, b, 50, 0.5) for o in (1, 7, 50)
+          for b in (2**31, 10**12, 2**62, 2**63 - 51)],
     ])
     def test_matches_single_trial_path(self, o, b, q, p):
         """The array kernel must reproduce run_trial bit for bit."""
@@ -126,6 +129,13 @@ class TestTrialRecalls:
             tracemalloc.stop()
         assert recalls.shape == (20,)
         assert peak < 2**20
+
+    @pytest.mark.parametrize("b", [2**63 - 50, 2**64 + 5])
+    def test_rejects_batch_size_beyond_int64(self, b):
+        config = EstimateConfig(ModelParams(7, b, 50, 0.5), 10)
+        with pytest.raises(InvalidParamsError, match="^batch_size must be"
+                           " below 2\\*\\*63 - total_quantity"):
+            trial_recalls(config)
 
     def test_bounded_by_quantity(self):
         config = EstimateConfig(ModelParams(9, 5, 47, 0.4), 500, 3)
@@ -276,6 +286,25 @@ class TestSweep:
         assert np.array_equal(grid.std_error, se)
         assert np.array_equal(grid.ci95_half_width, ci95)
         assert np.array_equal(grid.abs_error, np.abs(grid.analytic - mean))
+
+    def test_matches_per_cell_estimates_at_a_huge_batch_size(self):
+        grid = sweep(50, 0.5, [1, 7, 50], [3, 2**40], n_trials=30,
+                     base_seed=5)
+        cells = [[estimate_recall(EstimateConfig(ModelParams(o, b, 50, 0.5),
+                                                 30, derive_seed(5, o, b)))
+                  for b in (3, 2**40)] for o in (1, 7, 50)]
+        assert np.array_equal(grid.sim_mean, np.array(
+            [[e.mean_recall for e in row] for row in cells]))
+        assert np.array_equal(grid.std_error, np.array(
+            [[e.std_error for e in row] for row in cells]))
+
+    @pytest.mark.parametrize("b", [2**63 - 50, 2**64 + 5])
+    def test_rejects_batch_size_beyond_int64_only_when_simulating(self, b):
+        with pytest.raises(InvalidParamsError, match="^batch_size must be"
+                           " below 2\\*\\*63 - total_quantity"):
+            sweep(50, 0.5, [1, 7], [3, b], n_trials=10)
+        grid = sweep(50, 0.5, [1, 7], [3, b], include_simulation=False)
+        assert grid.analytic[0, 1] == 25.0
 
     def test_memory_bounded_for_a_batch_size_group(self):
         """The cells of one batch size share a stream table that is built
