@@ -149,7 +149,8 @@ def fifo_assign(orders: list[Order], batches: list[Batch]) -> FulfillmentOutcome
         raise InsufficientInventoryError(
             f"{available} units on hand cannot fill {demanded} ordered units")
 
-    out_batches = [replace(b) for b in batches]
+    out_batches = [Batch(b.id, b.size, b.in_crisis, b.consumed)
+                   for b in batches]
     out_orders = []
     cursor = 0
     for order in orders:

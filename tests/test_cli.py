@@ -416,8 +416,13 @@ class TestDeterminismGuard:
           "--batch-range", "1:50", "--analytic-only", "--out", "out.csv"],
          "7bf52be270ebc1463a84164ccaeb3ec3d4747df6b80598ec05b3c2a4718cd95b",
          "b10587183447a8728d5ffaf8c76ee655692de163b33fc12a330acefe6edcff02"),
+        # the horizon (6,001 batches) is longer than a chunk is wide
+        (["simulate", "-O", "100", "-B", "1", "-Q", "6000", "-p", "0.2",
+          "-n", "300", "--seed", "3", "--dump-trial", "--out", "out.csv"],
+         "f2d415232073df66d09121b0e665fa3bbe50cc96e00c4b6c6d9a7be2d65efbce",
+         "f2d415232073df66d09121b0e665fa3bbe50cc96e00c4b6c6d9a7be2d65efbce"),
     ], ids=["validate", "sweep", "simulate-dump-trial", "analytic",
-            "fragments", "sweep-analytic-only"])
+            "fragments", "sweep-analytic-only", "simulate-long-horizon"])
     def test_output_digests(self, capsys, tmp_path, monkeypatch, argv,
                             stdout_sha256, file_sha256):
         monkeypatch.chdir(tmp_path)

@@ -102,6 +102,21 @@ class TestTrialRecalls:
                   for i in range(n)]
         assert vectorized == direct
 
+    @pytest.mark.parametrize("o,b,q,p", [
+        (100, 1, 6000, 0.002),
+        (7, 3, 5000, 0.03),
+        (5, 4, 8000, 0.05),
+    ])
+    def test_matches_single_trial_path_on_long_horizons(self, o, b, q, p):
+        """Chunks with more batches than columns, on the order axis, with
+        probabilities that leave some orders unrecalled."""
+        params = ModelParams(o, b, q, p)
+        vectorized = trial_recalls(EstimateConfig(params, 24, 5)).tolist()
+        direct = [run_trial(TrialConfig.from_seed(params, derive_seed(5, i)))
+                  for i in range(24)]
+        assert vectorized == direct
+        assert 0 < min(direct) < max(direct) < q
+
     def test_memory_bounded_at_large_quantity(self):
         """Trials are processed in chunks, so the working set does not grow
         with n_trials * Q (unchunked this cell would need about 8 GB)."""
@@ -146,6 +161,51 @@ class TestTrialRecalls:
     def test_deterministic(self):
         config = EstimateConfig(ModelParams(10, 4, 50, 0.15), 300, 5)
         assert trial_recalls(config).tolist() == trial_recalls(config).tolist()
+
+
+class TestKernelTables:
+    @pytest.mark.parametrize("rows,cells,trials", [
+        (300, 1, 8), (130, 3, 5), (20, 2, 200), (1, 1, 3)],
+        ids=["rows>columns", "several-cells", "rows<=columns", "one-row"])
+    def test_crisis_in_rows_matches_prefix_counts(self, rows, cells, trials):
+        """Every run [a, b) of rows, empty ones too, in every cell, against a
+        prefix count, on a column slice as _group_recalls passes one."""
+        rng = np.random.default_rng(rows)
+        flags = rng.random((rows, 7 + cells * trials)) < min(0.5, 3 / rows)
+        crisis = flags[:, 7:].reshape(rows, cells, trials)
+        start, stop = np.triu_indices(rows + 1)
+        start, stop, cell = (np.repeat(start, cells), np.repeat(stop, cells),
+                             np.tile(np.arange(cells), len(start)))
+        prefix = np.zeros((rows + 1, cells, trials), dtype=np.int64)
+        np.cumsum(crisis, axis=0, out=prefix[1:])
+        expected = prefix[stop, cell] > prefix[start, cell]
+        touched = montecarlo._crisis_in_rows(crisis, start, stop, cell)
+        np.testing.assert_array_equal(touched, expected)
+        assert 0 < expected.mean() < 1
+
+    @pytest.mark.parametrize("b", [2**62, 2**63 - 51])
+    def test_batch_axis_tables_exact_at_huge_batch_sizes(self, b):
+        """W and S against Python-int sums of the orders touching each
+        batch, for every initial consumption the tables cover."""
+        q, order_sizes = 50, (1, 7, 50)
+        n_batches = (q + 2 * b - 2) // b
+        touch, straddle = montecarlo._batch_axis_tables(
+            np.array(order_sizes), b, q, n_batches)
+        lo = b - q
+        for c, o in enumerate(order_sizes):
+            for u in range(lo, b):
+                w = [0] * n_batches
+                s = [0] * (n_batches - 1)
+                for first in range(0, q, o):
+                    size = min(o, q - first)
+                    j0, j1 = (u + first) // b, (u + first + size - 1) // b
+                    for j in range(j0, j1 + 1):
+                        w[j] += size
+                    if j1 > j0:
+                        s[j0] += size
+                column = c * (b - lo) + u - lo
+                assert touch[:, column].tolist() == w
+                assert straddle[:, column].tolist() == s
 
 
 class TestEstimateRecall:
