@@ -10,8 +10,11 @@ are summed exactly, which makes every estimate independent of scheduling.
 
 For speed the trials are evaluated as numpy array operations rather than
 through :func:`batchfrag.simulation.run_trial` objects, and a sweep
-evaluates all cells of one batch size together. Both paths consume the
-same stream outputs and make the same decisions: the simulator compares
+evaluates all cells of one batch size together. The kernel reads a subset
+of the stream outputs the simulator reads: it skips a crisis flag only
+for an order already known to be recalled, once one flag of that order
+is set, and the rest of its flags cannot change the recall. On every
+output both read, they make the same decisions: the simulator compares
 ``unit_float(x) < p``, the kernel the exactly equivalent integer test
 ``x < unit_threshold(p)``, and both draw the initial consumption with the
 same float arithmetic. So they agree bit-for-bit; the test suite asserts
@@ -20,8 +23,9 @@ that parity cell by cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,10 +51,12 @@ Z98 = 2.326
 
 # Working set of one kernel chunk, in 8-byte words (1 MiB): a chunk column
 # takes n_batches + 1 stream outputs plus about ten words of per-column
-# vectors (seeds, draws, table indices, sums). Chunks this small stay close
-# to a core's cache, and memory does not grow with the trial count or the
-# grid. A sweep also caps each kernel call at this many recalls and this
-# many words in each batch-axis table.
+# vectors (seeds, draws, table indices, sums); a chunk that draws long runs
+# in part (see _probe_plan) takes fewer outputs and counts its round arrays
+# in the same budget. Chunks this small stay close to a core's cache, and
+# memory does not grow with the trial count or the grid. A sweep also caps
+# each kernel call at this many recalls and this many words in each
+# batch-axis table.
 _CHUNK_OUTPUTS = 1 << 17
 
 
@@ -147,7 +153,7 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     seed; row c of the returned (cells, n) matrix (of ``_sum_type(q)``) is
     ``trial_recalls`` of order size ``order_sizes[c]`` and base seed
     ``base_seeds[c]``. Shared B and Q give every trial the same horizon, so
-    all trials of the group are evaluated on one output-major stream table
+    all trials of the group are evaluated on output-major stream tables
     whose columns are (cell, trial) pairs, cell-major (row 0 the u draws,
     row j + 1 the crisis draws of batch j):
 
@@ -161,10 +167,15 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
 
     Columns are processed in chunks with a working set of about
     ``_CHUNK_OUTPUTS`` words (more on horizons past 4096 batches): whole
-    cells at a time when a cell's trials fit, else part of one cell. Memory
-    beyond the result and the per-cell tables therefore grows with neither
-    n nor the grid (``sweep`` bounds both by the cells it passes); the
-    recalls are exact integers, so chunking cannot change them.
+    cells at a time when a cell's trials fit, else part of one cell. A
+    chunk draws every row, unless it holds only order-axis cells with runs
+    longer than ``4 * _probe_rows(p)`` rows and would skip enough rows:
+    then it draws the rows :func:`_probe_plan` lists, the rest of those
+    runs only for trials whose order is not yet recalled, and its width is
+    sized from those rows. Memory beyond the result and the per-cell
+    tables therefore grows with neither n nor the grid (``sweep`` bounds
+    both by the cells it passes); the recalls are exact integers, so
+    chunking cannot change them.
     """
     # widest horizon over all initial consumptions: ceil((q + b - 1) / b)
     n_batches = (q + 2 * b - 2) // b
@@ -174,24 +185,37 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     split = int(np.searchsorted(orders, b, side="right"))
     batch_axis = _batch_axis_tables(orders[:split], b, q, n_batches)
     order_axis = _order_axis_tables(orders[split:], b, q)
+    # one test per group, so chunks of groups without long runs draw every
+    # row with the same calls as when no run was drawn in part
+    probe = _probe_rows(p)
+    probing = probe > 0 and bool(
+        (order_axis.stop - order_axis.start > 4 * probe).any())
     # numpy's row-by-row passes (einsum, take, outer) need a few tens of
     # columns to run at speed, so horizons past 4096 batches keep chunks
     # _CHUNK_OUTPUTS / 4096 columns wide, and the table grows with Q instead
     columns = max(1, _CHUNK_OUTPUTS // min(n_batches + 11, 4096))
-    cells_per_chunk, trials_per_chunk = max(1, columns // n), min(n, columns)
+    cells_per_chunk = max(1, columns // n)
     recalls = np.empty((len(orders), n), dtype=_sum_type(q))
     for c0 in range(0, len(orders), cells_per_chunk):
         c1 = min(len(orders), c0 + cells_per_chunk)
         mid = min(max(c0, split), c1)  # cells [c0, mid) on the batch axis
+        lo, hi = mid - split, c1 - split
+        plan = (_probe_plan(order_axis, lo, hi, n_batches, probe, n)
+                if probing and mid == c0 else None)
+        if plan is None:
+            outputs, tables, rounds = n_batches + 1, order_axis, None
+            trials_per_chunk = min(n, columns)
+        else:
+            outputs, tables, rounds, trials_per_chunk = plan
+            lo, hi = 0, c1 - c0
         for t0 in range(0, n, trials_per_chunk):
             t1 = min(n, t0 + trials_per_chunk)
             trials = np.arange(t0, t1, dtype=np.uint64)
-            x = stream_outputs(
-                derive_seeds(bases[c0:c1, None], trials).reshape(-1),
-                n_batches + 1)
+            seeds = derive_seeds(bases[c0:c1, None], trials)
+            x = stream_outputs(seeds.reshape(-1), outputs)
             u = np.minimum((unit_floats(x[0]) * b).astype(np.int64), b - 1)
             if threshold == 1 << 64:  # p == 1: every output is below it
-                crisis = np.ones((n_batches, x.shape[1]), dtype=bool)
+                crisis = np.ones((len(x) - 1, x.shape[1]), dtype=bool)
             else:
                 crisis = x[1:] < np.uint64(threshold)
             del x
@@ -202,28 +226,151 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
                     crisis[:, :k]).reshape(mid - c0, -1)
             if c1 > mid:
                 recalls[mid:c1, t0:t1] = _order_axis_recalls(
-                    order_axis, mid - split, c1 - split, u[k:], crisis[:, k:])
+                    tables, lo, hi, u[k:], crisis[:, k:],
+                    None if rounds is None else (rounds, seeds, threshold))
     return recalls
 
 
-def _order_axis_tables(order_sizes: np.ndarray, b: int,
-                       q: int) -> tuple[np.ndarray, ...]:
-    """Every order of every cell in ``order_sizes``, cell by cell, for
-    :func:`_order_axis_recalls`: its size, its cell, the index of each
-    cell's first order (plus the total at the end), its first and last
-    batches ``s//B`` and ``e//B + 1``, and the u limits of those two."""
+def _probe_rows(p: float) -> int:
+    """Rows of a long order-axis run that every trial draws: the fewest that
+    hold a crisis with probability at least 3/4, ``ceil(ln 4 / -ln(1 - p))``
+    (1 at p = 1). 0, for no probing, when p = 0 or the count reaches 2**53,
+    more rows than any horizon has."""
+    if p >= 1:
+        return 1
+    rows = math.log(4) / -math.log1p(-p) if p > 0 else math.inf
+    return math.ceil(rows) if rows < 2**53 else 0
+
+
+def _probe_plan(tables: _OrderAxis, lo: int, hi: int, n_batches: int,
+                probe: int, n: int) -> tuple | None:
+    """What the chunks of cells [lo, hi) of ``tables``, n trials each, draw
+    when each run longer than ``4 * probe`` rows is drawn only in part for
+    every trial.
+
+    The block draws row 0 and the rows of every order's head and tail, of
+    every short run, and of the first ``probe`` rows of every long run; a
+    long run whose remaining rows another order of the block reads anyway
+    is read whole. Returns None when no run is left in part, or when a
+    chunk would skip fewer than ``_CHUNK_OUTPUTS`` stream outputs: each
+    round of :func:`_finish_long_runs` costs a few tens of numpy calls
+    whatever its size, and in ``validate -n 1000`` (B = 1, chunks of two
+    cells, 58,000 outputs skipped) the rounds cost more than the skipped
+    outputs. Else returns the stream output indices to draw (a column),
+    the tables of :func:`_order_axis_recalls` for cells [0, hi - lo) with
+    every row replaced by its position among the drawn rows, the long runs
+    for :func:`_finish_long_runs` (their orders, the cell of each, and the
+    stream outputs of the first row not drawn and of the last row), and
+    the trials per chunk. A chunk column takes its stream outputs, about
+    ten words of vectors, and its share of the round arrays: 3 words per
+    flag for at most a quarter of the long runs' (order, trial) pairs.
+    """
+    orders = slice(tables.first[lo], tables.first[hi])
+    head, tail = tables.head[orders], tables.tail[orders]
+    start, stop = tables.start[orders], tables.stop[orders]
+    long = stop - start > 4 * probe
+    if not long.any():
+        return None
+    drawn = np.where(long, start + probe, stop)  # rows [start, drawn) drawn
+    lens = drawn - start
+    read = np.zeros(n_batches, dtype=bool)
+    read[head] = read[tail] = True
+    read[np.arange(lens.sum())
+         + np.repeat(start - np.cumsum(lens) + lens, lens)] = True
+    # before[j]: the rows read below row j, so the position of row j
+    before = np.zeros(n_batches + 1, dtype=np.int64)
+    np.cumsum(read, out=before[1:])
+    long &= before[stop] - before[drawn] < stop - drawn
+    if not long.any():
+        return None
+    drawn = np.where(long, drawn, stop)
+    block = _OrderAxis(
+        tables.sizes[orders], tables.cell[orders] - lo,
+        tables.first[lo:hi + 1] - tables.first[lo], before[head],
+        before[tail], before[start], before[drawn], tables.head_lim[orders],
+        tables.tail_lim[orders])
+    long = np.flatnonzero(long)
+    rounds = (long, block.cell[long], (drawn[long] + 1).astype(np.uint64),
+              stop[long].astype(np.uint64), probe)
+    outputs = np.concatenate(([0], np.flatnonzero(read) + 1)).astype(
+        np.uint64)[:, None]
+    width = len(outputs) + 10 + -(-3 * probe * len(long) // (4 * (hi - lo)))
+    trials = min(n, max(1, _CHUNK_OUTPUTS // min(width, 4096) // (hi - lo)))
+    if (n_batches + 1 - len(outputs)) * trials * (hi - lo) < _CHUNK_OUTPUTS:
+        return None
+    return outputs, block, rounds, trials
+
+
+def _finish_long_runs(touched: np.ndarray, rounds: tuple, seeds: np.ndarray,
+                      threshold: int) -> None:
+    """Set ``touched[k, i]`` for each long run k of :func:`_probe_plan`
+    that holds a crisis in the rows its trial i has not drawn.
+
+    A run's undrawn rows are drawn ``probe`` at a time, one round after
+    another, and only for the (order, trial) pairs not yet known to be
+    recalled: a flag skipped is a flag of an order already recalled, and
+    recall is an OR, so no result changes. ``seeds`` is (cells, trials).
+    Each round's arrays are drawn in slices of at most a quarter of the
+    long runs' pairs.
+    """
+    long, owner, nxt, end, probe = rounds
+    k, i = np.nonzero(~touched[long])
+    # a column per pair: its seed, the stream outputs of its next row and
+    # of its run's last row, its order and its trial
+    pending = np.stack((seeds[owner[k], i], nxt[k], end[k],
+                        long[k].astype(np.uint64), i.astype(np.uint64)))
+    steps = np.arange(probe, dtype=np.uint64)[:, None]
+    cap = max(1, len(long) * touched.shape[1] // 4)
+    while pending.shape[1]:
+        hit = np.empty(pending.shape[1], dtype=bool)
+        for s in range(0, len(hit), cap):
+            seed, first, last = pending[:3, s:s + cap]
+            # rows past the run's end repeat its last row: OR is idempotent
+            x = stream_outputs(seed, np.minimum(first + steps, last))
+            hit[s:s + cap] = (x < np.uint64(threshold)).any(axis=0)
+        touched[pending[3, hit], pending[4, hit]] = True
+        pending[1] += np.uint64(probe)
+        hit |= pending[1] > pending[2]
+        pending = pending[:, ~hit]
+
+
+class _OrderAxis(NamedTuple):
+    """Every order of some order-axis cells, cell by cell, for
+    :func:`_order_axis_recalls`. An order covering units [s, e] has its
+    first and last batches ``s//B`` and ``e//B + 1`` (rows ``head`` and
+    ``tail``; the tail row is clamped to the horizon, which it passes only
+    when ``e % B == 0``, where it is never read) and its always-touched run
+    ``s//B + 1 .. e//B`` (rows [start, stop)). :func:`_probe_plan` replaces
+    each row by its position among the rows a block draws."""
+
+    sizes: np.ndarray     # units in each order
+    cell: np.ndarray      # the cell of each order
+    first: np.ndarray     # index of each cell's first order, then the total
+    head: np.ndarray
+    tail: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    head_lim: np.ndarray  # the head batch is touched iff u < head_lim
+    tail_lim: np.ndarray  # the tail batch is touched iff u >= tail_lim
+
+
+def _order_axis_tables(order_sizes: np.ndarray, b: int, q: int) -> _OrderAxis:
+    """The :class:`_OrderAxis` tables of every cell in ``order_sizes``."""
     counts = -(-q // order_sizes)
     first = np.zeros(len(order_sizes) + 1, dtype=np.int64)
     np.cumsum(counts, out=first[1:])
     cell = np.repeat(np.arange(len(order_sizes)), counts)
     starts = (np.arange(first[-1]) - first[cell]) * order_sizes[cell]
     ends = np.minimum(starts + order_sizes[cell], q) - 1
-    return (ends - starts + 1, cell, first, starts // b, ends // b + 1,
-            b - starts % b, b - ends % b)
+    head, tail = starts // b, ends // b + 1
+    return _OrderAxis(ends - starts + 1, cell, first, head,
+                      np.minimum(tail, (q + 2 * b - 2) // b - 1), head + 1,
+                      tail, b - starts % b, b - ends % b)
 
 
-def _order_axis_recalls(tables: tuple[np.ndarray, ...], lo: int, hi: int,
-                        u: np.ndarray, crisis: np.ndarray) -> np.ndarray:
+def _order_axis_recalls(tables: _OrderAxis, lo: int, hi: int,
+                        u: np.ndarray, crisis: np.ndarray,
+                        rounds: tuple | None = None) -> np.ndarray:
     """Recalls reduced order by order, for orders longer than batches.
 
     Unit t lands in batch ``t // B`` when ``u < B - t % B`` and in the next
@@ -231,20 +378,22 @@ def _order_axis_recalls(tables: tuple[np.ndarray, ...], lo: int, hi: int,
     batches ``s//B + 1 .. e//B``, touches batch ``s//B`` iff
     ``u < B - s % B`` and batch ``e//B + 1`` iff ``u >= B - e % B``. Each
     order reads its always-touched run through :func:`_crisis_in_rows` and
-    two crisis rows, in its own cell's block of columns. ``u`` and
-    ``crisis`` hold the columns of cells [lo, hi) of ``tables``, cell-major;
-    returns (hi - lo, trials).
+    two crisis rows, in its own cell's block of columns; with ``rounds``
+    (the long runs, seeds and threshold of :func:`_finish_long_runs`) the
+    rows drawn hold only part of some runs, and the rest is drawn there.
+    ``u`` and ``crisis`` hold the columns of cells [lo, hi) of ``tables``,
+    cell-major; returns (hi - lo, trials).
     """
-    sizes, cell, first, head, tail, head_lim, tail_lim = tables
+    sizes, cell, first, head, tail, start, stop, head_lim, tail_lim = tables
     orders = slice(first[lo], first[hi])
     cell, head, tail = cell[orders] - lo, head[orders], tail[orders]
     crisis = crisis.reshape(len(crisis), hi - lo, -1)
-    touched = _crisis_in_rows(crisis, head + 1, tail, cell)
+    touched = _crisis_in_rows(crisis, start[orders], stop[orders], cell)
     u = u.reshape(hi - lo, -1)[cell]
     touched |= crisis[head, cell] & (u < head_lim[orders, None])
-    # tail is past the horizon only when ends % b == 0, where u >= b never holds
-    touched |= (crisis[np.minimum(tail, len(crisis) - 1), cell]
-                & (u >= tail_lim[orders, None]))
+    touched |= crisis[tail, cell] & (u >= tail_lim[orders, None])
+    if rounds is not None:
+        _finish_long_runs(touched, *rounds)
     sizes, bounds = sizes[orders], first[lo:hi + 1] - first[lo]
     recalls = np.empty((hi - lo, touched.shape[1]), dtype=np.int64)
     for c in range(hi - lo):
@@ -265,9 +414,11 @@ def _crisis_in_rows(crisis: np.ndarray, start: np.ndarray, stop: np.ndarray,
     two reads. Levels are built up to the longest run's and read as they
     pass. An order's always-touched run has floor((O - 1) / B) or
     ceil((O - 1) / B) rows, so a cell needs floor(log2(ceil((O - 1) / B)))
-    levels: none at O = B + 1, 6 at O = 100, B = 1. Each level is one pass over contiguous rows, about
-    0.04 ns per flag (2-vCPU Xeon, numpy 2.4). A prefix count would answer
-    the same question, but numpy computes it one element after another:
+    levels: none at O = B + 1, 6 at O = 100, B = 1 (a run drawn in part is
+    read for its first ``_probe_rows(p)`` rows only: 10 rows, 3 levels, at
+    O = 100, B = 1, p = 0.131). Each level is one pass over contiguous rows,
+    about 0.04 ns per flag (2-vCPU Xeon, numpy 2.4). A prefix count would
+    answer the same question, but numpy computes it one element after another:
     ``cumsum(axis=0)`` walks each column through a casting buffer, 3.5-7 ns
     per flag at 6,001 rows x 32 columns; a C-contiguous transposed int32
     copy scanned along its rows costs as much or more there; and adding

@@ -126,14 +126,22 @@ def derive_seeds(base_seed: np.ndarray, components: np.ndarray) -> np.ndarray:
     return _mix64_inplace(base + components.astype(np.uint64, copy=False))
 
 
-def stream_outputs(seeds: np.ndarray, n_outputs: int) -> np.ndarray:
-    """Outputs ``0 .. n_outputs-1`` for every seed, output-major.
+def stream_outputs(seeds: np.ndarray, outputs) -> np.ndarray:
+    """Stream outputs of many seeds at once, as uint64.
 
-    Returns a (n_outputs, len(seeds)) uint64 array; row j column i equals
-    ``stream_output(seeds[i], j)``.
+    ``outputs`` is either an int n, for outputs ``0 .. n-1`` of every seed
+    output-major (a (n, len(seeds)) array whose row j column i is
+    ``stream_output(seeds[i], j)``), or an array of output indices that is
+    broadcast against ``seeds``: each result element is the output of its
+    seed at its index. The int form is the array form with
+    ``np.arange(n)[:, None]``.
     """
-    ks = np.arange(1, n_outputs + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    return _mix64_inplace(np.add.outer(ks, seeds.astype(np.uint64, copy=False)))
+    if isinstance(outputs, (int, np.integer)):
+        ks = np.arange(1, outputs + 1, dtype=np.uint64)[:, None]
+    else:
+        ks = np.asarray(outputs, dtype=np.uint64) + np.uint64(1)
+    ks *= np.uint64(_GOLDEN)
+    return _mix64_inplace(np.add(ks, seeds.astype(np.uint64, copy=False)))
 
 
 def unit_floats(x: np.ndarray) -> np.ndarray:

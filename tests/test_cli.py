@@ -421,8 +421,21 @@ class TestDeterminismGuard:
           "-n", "300", "--seed", "3", "--dump-trial", "--out", "out.csv"],
          "f2d415232073df66d09121b0e665fa3bbe50cc96e00c4b6c6d9a7be2d65efbce",
          "f2d415232073df66d09121b0e665fa3bbe50cc96e00c4b6c6d9a7be2d65efbce"),
+        # about 37% of the 100-unit orders survive, so the order reduction
+        # and the trials that finish long runs in rounds show here
+        (["simulate", "-O", "100", "-B", "1", "-Q", "6000", "-p", "0.01",
+          "-n", "300", "--seed", "3", "--dump-trial", "--out", "out.csv"],
+         "00c204ca180a10ae51e8edc8373e36948f65228ae090138cf50cc042d4f12d32",
+         "00c204ca180a10ae51e8edc8373e36948f65228ae090138cf50cc042d4f12d32"),
+        # groups of both axes, with runs past the probing threshold
+        (["sweep", "-Q", "300", "-p", "0.05", "--order-range", "1:300",
+          "--batch-range", "1:3", "-n", "200", "--seed", "5",
+          "--out", "out.csv"],
+         "c300aad62d975a4ba95a4e2ea131b9c96a706f7960a34012b93634c2c12f42ce",
+         "99f597cbc900b7203abd835047577c03dda64f1c4c90ee1a7bf762908a7a5fac"),
     ], ids=["validate", "sweep", "simulate-dump-trial", "analytic",
-            "fragments", "sweep-analytic-only", "simulate-long-horizon"])
+            "fragments", "sweep-analytic-only", "simulate-long-horizon",
+            "simulate-surviving-orders", "sweep-probing"])
     def test_output_digests(self, capsys, tmp_path, monkeypatch, argv,
                             stdout_sha256, file_sha256):
         monkeypatch.chdir(tmp_path)

@@ -208,6 +208,132 @@ class TestKernelTables:
                 assert straddle[:, column].tolist() == s
 
 
+class TestEarlyResolution:
+    """Long order-axis runs are drawn in part for every trial and in full
+    only for orders not yet recalled; no recall may change."""
+
+    @pytest.mark.parametrize("p", [0.01, 0.05, 0.25, 0.3, 0.5, 0.9])
+    def test_probe_finds_a_crisis_with_probability_three_quarters(self, p):
+        rows = montecarlo._probe_rows(p)
+        assert (1 - p) ** rows <= 0.25 < (1 - p) ** (rows - 1)
+
+    @pytest.mark.parametrize("p,rows", [(0.0, 0), (5e-324, 0), (1.0, 1)])
+    def test_probe_extremes(self, p, rows):
+        assert montecarlo._probe_rows(p) == rows
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_group_matches_cells_and_single_trials(self, data):
+        """Groups with batch-axis cells and order-axis cells whose runs pass
+        the probing threshold, under chunk budgets that split cells or hold
+        several and probe lengths from 1 to none: every cell's recalls equal
+        trial_recalls of that cell alone with default settings, sampled
+        trials equal run_trial, and sweep equals estimate_recall."""
+        q = data.draw(st.integers(20, 300), label="Q")
+        b = data.draw(st.integers(1, 4), label="B")
+        orders = data.draw(st.lists(st.integers(q // 3, q), min_size=1,
+                                    max_size=3), label="long orders")
+        if data.draw(st.booleans(), label="other cells"):
+            orders += data.draw(st.lists(st.integers(1, q), max_size=2),
+                                label="orders")
+        if data.draw(st.booleans(), label="batch-axis cell"):
+            orders.append(data.draw(st.integers(1, b), label="short order"))
+        orders = sorted(set(orders))
+        p = data.draw(st.sampled_from([2**-53, 0.01, 0.05, 0.3, 1.0]),
+                      label="p")
+        n = data.draw(st.integers(1, 40), label="n_trials")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        budget = data.draw(st.sampled_from([None, 1, 7, 64, 4096]),
+                           label="chunk")
+        probe = data.draw(st.sampled_from([None, 1, 2, 10**9]), label="probe")
+        seeds = [derive_seed(seed, o, b) for o in orders]
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(montecarlo, "_CHUNK_OUTPUTS", budget)
+            if probe is not None:
+                mp.setattr(montecarlo, "_probe_rows", lambda p: probe)
+            recalls = montecarlo._group_recalls(orders, b, q, p, seeds, n)
+            grid = sweep(q, p, orders, [b], n_trials=n, base_seed=seed)
+        sample = sorted({0, n - 1, data.draw(st.integers(0, n - 1),
+                                             label="trial")})
+        for c, (o, cell_seed) in enumerate(zip(orders, seeds)):
+            config = EstimateConfig(ModelParams(o, b, q, p), n, cell_seed)
+            assert recalls[c].tolist() == trial_recalls(config).tolist()
+            for i in sample:
+                assert recalls[c, i] == run_trial(TrialConfig.from_seed(
+                    config.params, derive_seed(cell_seed, i)))
+            est = estimate_recall(config)
+            assert grid.sim_mean[c, 0] == est.mean_recall
+            assert grid.std_error[c, 0] == est.std_error
+
+    @pytest.mark.parametrize("probe", [None, 1, 2])
+    @pytest.mark.parametrize("p", [0.01, 0.05])
+    def test_several_probing_cells_in_one_chunk(self, p, probe):
+        """Cells whose long runs end in rounds, two to a chunk (a horizon
+        past 4096 batches at 16 trials) and one to a chunk: each pair's
+        rounds draw from its own cell's seeds."""
+        orders, b, q, n = [150, 210, 300, 420], 1, 4200, 16
+        seeds = [derive_seed(3, o) for o in orders]
+        expected = [trial_recalls(EstimateConfig(ModelParams(o, b, q, p), n,
+                                                 s)).tolist()
+                    for o, s in zip(orders, seeds)]
+        probing_cells = []
+        make_plan = montecarlo._probe_plan
+
+        def recorded_plan(tables, lo, hi, *args):
+            plan = make_plan(tables, lo, hi, *args)
+            if plan is not None:
+                probing_cells.append(hi - lo)
+            return plan
+
+        for budget in (montecarlo._CHUNK_OUTPUTS, 400):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(montecarlo, "_CHUNK_OUTPUTS", budget)
+                mp.setattr(montecarlo, "_probe_plan", recorded_plan)
+                if probe is not None:
+                    mp.setattr(montecarlo, "_probe_rows", lambda p: probe)
+                recalls = montecarlo._group_recalls(orders, b, q, p, seeds, n)
+            assert recalls.tolist() == expected
+        if probe is not None:
+            assert 2 in probing_cells and 1 in probing_cells
+        for c, (o, s) in enumerate(zip(orders, seeds)):
+            for i in (0, 7, n - 1):
+                assert expected[c][i] == run_trial(TrialConfig.from_seed(
+                    ModelParams(o, b, q, p), derive_seed(s, i)))
+        assert min(map(min, expected)) < q
+
+    @staticmethod
+    def _words(monkeypatch, o, b, q, p, n):
+        """Stream outputs trial_recalls draws, summed over every call."""
+        drawn = []
+        draw = montecarlo.stream_outputs
+
+        def counted(*args):
+            out = draw(*args)
+            drawn.append(out.size)
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(montecarlo, "stream_outputs", counted)
+            recalls = trial_recalls(
+                EstimateConfig(ModelParams(o, b, q, p), n, 4))
+        return sum(drawn), recalls
+
+    def test_draws_under_a_quarter_of_the_stream_on_long_runs(
+            self, monkeypatch):
+        n, dense = 200, 200 * (6001 + 1)
+        words, recalls = self._words(monkeypatch, 100, 1, 6000, 0.3, n)
+        assert words < dense // 4
+        assert 0 < recalls.min() and recalls.max() == 6000
+
+    @pytest.mark.parametrize("o,b,p", [
+        (2, 1, 0.3), (2, 1, 0.05), (100, 1, 0.0), (7, 3, 0.0), (1, 1, 0.0)])
+    def test_draws_every_output_once_otherwise(self, monkeypatch, o, b, p):
+        n, q = 200, 6000
+        words, _ = self._words(monkeypatch, o, b, q, p, n)
+        assert words == n * ((q + 2 * b - 2) // b + 1)
+
+
 class TestEstimateRecall:
     def test_mean_is_exact_integer_ratio(self):
         config = EstimateConfig(ModelParams(10, 4, 50, 0.15), 1000, 11)

@@ -1,5 +1,7 @@
 """Counter-based RNG: canonical vectors, random access, and derivation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -53,6 +55,43 @@ class TestStreamOutput:
         for i, seed in enumerate(seeds.tolist()):
             assert table[:, i].tolist() == [stream_output(seed, k)
                                             for k in range(6)]
+
+
+    def test_integer_form_bytes_pinned(self):
+        """The int form's table, byte for byte, as it was before the index
+        form existed (digest of a 101 x 37 table of derived seeds)."""
+        seeds = derive_seeds(np.array([3], dtype=np.uint64),
+                             np.arange(37, dtype=np.uint64))
+        table = stream_outputs(seeds, 101)
+        assert table.shape == (101, 37) and table.dtype == np.uint64
+        assert table.flags["C_CONTIGUOUS"]
+        assert hashlib.sha256(table.tobytes()).hexdigest() == (
+            "b70a8dcd06d1803a39d0ce2cc04de5860c9b3f610c8da8f26b6d45c431fdfb29")
+        np.testing.assert_array_equal(
+            stream_outputs(seeds, np.arange(101)[:, None]), table)
+
+    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1),
+                              st.integers(0, 2**64 - 2)),
+                    min_size=1, max_size=12))
+    def test_index_form_matches_scalar(self, pairs):
+        """Element-wise pairs, as 1-D arrays and as a 2-D index array
+        broadcast against a row of seeds."""
+        seeds = np.array([s for s, _ in pairs], dtype=np.uint64)
+        ks = np.array([k for _, k in pairs], dtype=np.uint64)
+        assert stream_outputs(seeds, ks).tolist() == [
+            stream_output(s, k) for s, k in pairs]
+        grid = np.stack([ks, ks // np.uint64(3), ks[::-1]])
+        table = stream_outputs(seeds, grid)
+        assert table.shape == grid.shape
+        assert table.tolist() == [
+            [stream_output(s, k) for s, k in zip(seeds.tolist(), row)]
+            for row in grid.tolist()]
+
+    def test_index_form_accepts_signed_indices(self):
+        seeds = np.array([7, 2**64 - 1], dtype=np.uint64)
+        rows = np.array([[0], [5], [40]], dtype=np.int64)
+        assert stream_outputs(seeds, rows).tolist() == [
+            [stream_output(s, k) for s in (7, 2**64 - 1)] for k in (0, 5, 40)]
 
 
 class TestDeriveSeed:
