@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .model import ModelParams, expected_recall_size
-from .montecarlo import EstimateConfig, estimate_recall, sweep
+from .model import ModelParams, _check_grid, expected_recall_size
+from .montecarlo import EstimateConfig, _sweep, estimate_recall, sweep
 from .report import (
     render_analytic,
     render_outcome,
@@ -181,10 +181,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if path in paths[:i]:
             raise UsageError(f"crisis probabilities {probs[paths.index(path)]!r}"
                              f" and {probs[i]!r} would both write {path}")
+    # the grid is checked once for the family; each probability has passed
+    # _probability, the same rule the grid check applies to the first
+    quantity, _, order_sizes, batch_sizes = _check_grid(
+        quantity, probs[0], order_sizes, batch_sizes)
     for prob, path in zip(probs, paths):
-        grid = sweep(quantity, prob, order_sizes, batch_sizes,
-                     n_trials=args.trials, base_seed=args.seed,
-                     include_simulation=not args.analytic_only)
+        grid = _sweep(quantity, prob, order_sizes, batch_sizes, args.trials,
+                      args.seed, not args.analytic_only)
         write_sweep(grid, path)
         print(f"wrote {path}")
         if grid.mean_abs_error_pct is not None:

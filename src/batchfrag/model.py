@@ -141,14 +141,12 @@ def fragment_stats(params: ModelParams) -> FragmentationStats:
     """
     o, b = params.order_size, params.batch_size
     r = o % b
-    p_fr_max = Fraction(b - 1, b) if r == 0 else Fraction(r - 1, b)
-    p_fr_min = 1 - p_fr_max
+    extra = b - 1 if r == 0 else r - 1  # offsets that force fr_max
     fr_min = -(-o // b)  # ceil(o / b)
-    fr_max = fr_min + 1 if p_fr_max > 0 else fr_min
-    expected = p_fr_min * fr_min + p_fr_max * fr_max
-    return FragmentationStats(fr_min=fr_min, fr_max=fr_max,
-                              p_fr_min=p_fr_min, p_fr_max=p_fr_max,
-                              expected_fragments=expected)
+    return FragmentationStats(fr_min=fr_min, fr_max=fr_min + (extra > 0),
+                              p_fr_min=Fraction(b - extra, b),
+                              p_fr_max=Fraction(extra, b),
+                              expected_fragments=expected_fragments(params))
 
 
 def expected_fragments(params: ModelParams) -> Fraction:

@@ -165,6 +165,16 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
       cells with O <= B (which come first) by :func:`_batch_axis_recalls`,
       the rest by :func:`_order_axis_recalls`.
 
+    The batch-axis cells' W and S tables are built once per call. Their
+    rows repeat with the lcm of the cells' periods ``O / gcd(O, B)`` from
+    row 1 until the end of the horizon or the last order changes them;
+    :func:`_batch_axis_fold` reads off that span with one comparison of the
+    tables against themselves a period later. Where it holds at least two
+    periods, every chunk counts its crisis flags per residue class over the
+    span and weighs the counts by one period of rows, which adds up the
+    same integers as weighing every flag by its own row, so the recalls
+    are unchanged. Other calls weigh every flag by its own row.
+
     Columns are processed in chunks with a working set of about
     ``_CHUNK_OUTPUTS`` words (more on horizons past 4096 batches): whole
     cells at a time when a cell's trials fit, else part of one cell. A
@@ -195,6 +205,8 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     # _CHUNK_OUTPUTS / 4096 columns wide, and the table grows with Q instead
     columns = max(1, _CHUNK_OUTPUTS // min(n_batches + 11, 4096))
     cells_per_chunk = max(1, columns // n)
+    fold = _batch_axis_fold(orders[:split], b, batch_axis,
+                            min(columns, cells_per_chunk * n))
     recalls = np.empty((len(orders), n), dtype=_sum_type(q))
     for c0 in range(0, len(orders), cells_per_chunk):
         c1 = min(len(orders), c0 + cells_per_chunk)
@@ -223,7 +235,7 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
             if mid > c0:
                 recalls[c0:mid, t0:t1] = _batch_axis_recalls(
                     batch_axis, b, q, np.arange(c0, mid), u[:k],
-                    crisis[:, :k]).reshape(mid - c0, -1)
+                    crisis[:, :k], fold).reshape(mid - c0, -1)
             if c1 > mid:
                 recalls[mid:c1, t0:t1] = _order_axis_recalls(
                     tables, lo, hi, u[k:], crisis[:, k:],
@@ -475,8 +487,8 @@ def _batch_axis_tables(order_sizes: np.ndarray, b: int, q: int,
 
 
 def _batch_axis_recalls(tables: tuple[np.ndarray, np.ndarray], b: int, q: int,
-                        cells: np.ndarray, u: np.ndarray,
-                        crisis: np.ndarray) -> np.ndarray:
+                        cells: np.ndarray, u: np.ndarray, crisis: np.ndarray,
+                        fold: _BatchAxisFold | None = None) -> np.ndarray:
     """Recalls reduced batch by batch, for orders no longer than batches.
 
     Every order then touches one batch or two adjacent ones, so by
@@ -486,14 +498,101 @@ def _batch_axis_recalls(tables: tuple[np.ndarray, np.ndarray], b: int, q: int,
     boundary between batches j and j + 1. ``u`` and ``crisis`` hold the
     columns of ``cells``, cell-major; W and S are read from the tables of
     :func:`_batch_axis_tables` at column ``cell * (B - lo) + max(u, lo) - lo``.
+    With ``fold`` (a :class:`_BatchAxisFold`), rows 1 .. end - 1 of both
+    tables repeat with its period for every column, so a crisis flag in row
+    j weighs as much as one in row ``1 + (j - 1) % period``. The flags of
+    those rows are then counted per residue class, and the counts take the
+    place of the flags against the fold's tables, which hold row 0, one
+    period of rows and the rows from ``end`` on. The sums are the same
+    exact integers, so no recall changes; the gathers and products cover
+    ``period`` rows of the span instead of all ``end - 1``.
     """
     lo = max(0, b - q)
     at = ((cells * (b - lo) - lo)[:, None]
           + np.maximum(u, lo).reshape(len(cells), -1)).reshape(-1)
-    touch, straddle = (np.take(t, at, axis=1) for t in tables)
     both = crisis[:-1] & crisis[1:]
+    if fold is not None:
+        tables = fold.tables
+        crisis, both = (_fold_rows(flags, fold) for flags in (crisis, both))
+    touch, straddle = (np.take(t, at, axis=1) for t in tables)
     return (np.einsum("ji,ji->i", crisis, touch)
             - np.einsum("ji,ji->i", both, straddle))
+
+
+class _BatchAxisFold(NamedTuple):
+    """Rows 1 .. end - 1 of a group's W and S tables repeat with ``period``;
+    ``group`` periods at a time are added up in one row of
+    :func:`_fold_rows`. ``tables`` are W and S with only row 0, rows 1 ..
+    period and the rows from ``end`` on."""
+
+    period: int
+    group: int
+    end: int
+    tables: tuple[np.ndarray, np.ndarray]
+
+
+# Flags a row of _fold_rows' first sum holds at least (when the span has
+# that many): numpy adds rows of a few tens of flags at several times the
+# cost per flag of rows of several hundred.
+_FOLD_WIDTH = 1 << 10
+
+
+def _batch_axis_fold(order_sizes: np.ndarray, b: int,
+                     tables: tuple[np.ndarray, np.ndarray],
+                     columns: int) -> _BatchAxisFold | None:
+    """The :class:`_BatchAxisFold` of the batch-axis ``tables`` of
+    ``order_sizes`` (see :func:`_batch_axis_tables`), for chunks of at most
+    ``columns`` columns; None when no two periods of rows repeat.
+
+    Batch j >= 1 starts at unit ``c_j = j * B - u`` (until Q cuts it), so
+    each boundary lies B mod O units further into its order than the last
+    one, counted modulo O. W_j is B plus the part of the order holding c_j
+    before it and the part of the order holding c_j+1 - 1 after that unit,
+    and S_j is the size of that last order when it straddles c_j+1: both
+    depend on the boundaries' residues modulo O alone, which repeat every
+    ``O / gcd(O, B)`` batches (every batch when O divides B). A group's
+    tables repeat with the lcm of its cells' periods, from row 1 (row 0
+    starts at unit 0, not at -u) until the rows that the last, possibly
+    short, order or the end of the horizon changes. One comparison of the
+    tables with themselves shifted by a period finds where that span ends,
+    so the fold rests on the tables and not on this argument.
+    """
+    if not len(order_sizes):
+        return None
+    period = math.lcm(*(o // math.gcd(o, b) for o in order_sizes.tolist()))
+    touch, straddle = tables
+    rows = len(straddle)  # rows of both tables
+    if rows < 1 + 2 * period:
+        return None
+    ahead, here = slice(1 + period, rows), slice(1, rows - period)
+    differs = ((touch[ahead] != touch[here])
+               | (straddle[ahead] != straddle[here])).any(axis=1)
+    first = np.flatnonzero(differs)
+    # rows 1 .. span repeat: the first row that differs from the row a
+    # period later, plus that period, less one
+    periods = (int(first[0]) + period if len(first) else rows - 1) // period
+    if periods < 2:
+        return None
+    group = min(periods, -(-_FOLD_WIDTH // (period * columns)))
+    end = 1 + periods // group * group * period
+    head = np.arange(period + 1)
+    return _BatchAxisFold(period, group, end, tuple(
+        t[np.concatenate((head, np.arange(end, len(t))))] for t in tables))
+
+
+def _fold_rows(flags: np.ndarray, fold: _BatchAxisFold) -> np.ndarray:
+    """Flags of the rows of ``fold.tables``, in their integer type: row 0,
+    the number of flags set in each residue class of rows 1 .. end - 1, then
+    the rows from end on."""
+    period, group, end, tables = fold
+    dtype, width = tables[0].dtype, flags.shape[1]
+    folded = np.empty((1 + period + len(flags) - end, width), dtype=dtype)
+    folded[0] = flags[0]
+    counts = flags[1:end].reshape(-1, group * period * width).sum(
+        axis=0, dtype=dtype)
+    folded[1:period + 1] = counts.reshape(group, period, width).sum(axis=0)
+    folded[period + 1:] = flags[end:]
+    return folded
 
 
 def _check_int64_horizon(b: int, q: int) -> None:
@@ -553,8 +652,19 @@ def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
     (13 cells at 10,000 trials in ``validate``, whose tables hold at most
     192 words).
     """
-    q, p, orders, batches = _check_grid(quantity, crisis_prob, order_sizes,
-                                        batch_sizes)
+    return _sweep(*_check_grid(quantity, crisis_prob, order_sizes,
+                               batch_sizes),
+                  n_trials, base_seed, include_simulation)
+
+
+def _sweep(q: int, p: float, orders: tuple[int, ...],
+           batches: tuple[int, ...], n_trials: int, base_seed: int,
+           include_simulation: bool) -> SweepGrid:
+    """:func:`sweep` of a grid that has passed :func:`_check_grid`, which
+    returns its arguments ``(q, p, orders, batches)``; ``n_trials`` and
+    ``base_seed`` are checked here, and only when simulating. A family of
+    crisis probabilities over one grid checks the grid once and calls this
+    once per probability."""
     analytic = _recall_size_surface(q, p, orders, batches)
 
     if not include_simulation:

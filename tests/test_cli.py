@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from batchfrag import cli
+from batchfrag import cli, model
 from batchfrag.cli import main
 
 
@@ -166,7 +166,7 @@ class TestSweep:
         def no_grid(*args, **kwargs):
             raise AssertionError("a grid was computed before the check")
 
-        monkeypatch.setattr(cli, "sweep", no_grid)
+        monkeypatch.setattr(cli, "_sweep", no_grid)
         code, out, err = run_cli(capsys, "sweep", "-Q", "50", "--crisis-probs",
                                  probs, "--order-range", "1:2",
                                  "--batch-range", "1:2", "-n", "10",
@@ -174,6 +174,46 @@ class TestSweep:
         assert code == 2
         assert "error:" in err and "fam_p" in err
         assert out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_probability_family_checks_its_grid_once(self, capsys, tmp_path,
+                                                     monkeypatch):
+        """Both axes are checked once for a family, not once per
+        probability, and the family's files are those of single runs."""
+        checked = []
+        check_axis = model._check_axis
+
+        def counted(name, values):
+            checked.append(name)
+            return check_axis(name, values)
+
+        monkeypatch.setattr(model, "_check_axis", counted)
+        grid = ["-Q", "40", "--order-range", "1:40", "--batch-range", "1:8",
+                "-n", "20", "--seed", "3"]
+        code, _, _ = run_cli(capsys, "sweep", "--crisis-probs",
+                             "0.05,0.1,0.2,0.3", *grid,
+                             "--out", str(tmp_path / "fam.csv"))
+        assert code == 0
+        assert checked == ["order_size", "batch_size"]
+        for p in ("0.05", "0.1", "0.2", "0.3"):
+            single = tmp_path / f"single_p{p}.csv"
+            assert run_cli(capsys, "sweep", "-p", p, *grid,
+                           "--out", str(single))[0] == 0
+            assert (tmp_path / f"fam_p{p}.csv").read_bytes() == (
+                single.read_bytes())
+
+    @pytest.mark.parametrize("bad", [
+        ["--order-range", "1:60", "-Q", "50"], ["-Q", "0", "--order-range",
+                                                "1:2"]],
+        ids=["order-above-quantity", "zero-quantity"])
+    def test_probability_family_grid_error_writes_nothing(
+            self, capsys, tmp_path, bad):
+        code, out, err = run_cli(capsys, "sweep", "--crisis-probs",
+                                 "0.05,0.3", *bad, "--batch-range", "1:2",
+                                 "--analytic-only",
+                                 "--out", str(tmp_path / "fam.csv"))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("config, flags", [
@@ -433,9 +473,15 @@ class TestDeterminismGuard:
           "--out", "out.csv"],
          "c300aad62d975a4ba95a4e2ea131b9c96a706f7960a34012b93634c2c12f42ce",
          "99f597cbc900b7203abd835047577c03dda64f1c4c90ee1a7bf762908a7a5fac"),
+        # a batch-axis horizon of 2,001 batches whose rows repeat every two
+        (["simulate", "-O", "2", "-B", "3", "-Q", "6000", "-p", "0.2",
+          "-n", "300", "--seed", "3", "--out", "out.csv"],
+         "ff5812878ea9497518ae125f276b9e16615bb8b05bee5164eca78ff89deaaf03",
+         "ff5812878ea9497518ae125f276b9e16615bb8b05bee5164eca78ff89deaaf03"),
     ], ids=["validate", "sweep", "simulate-dump-trial", "analytic",
             "fragments", "sweep-analytic-only", "simulate-long-horizon",
-            "simulate-surviving-orders", "sweep-probing"])
+            "simulate-surviving-orders", "sweep-probing",
+            "simulate-folded-batch-axis"])
     def test_output_digests(self, capsys, tmp_path, monkeypatch, argv,
                             stdout_sha256, file_sha256):
         monkeypatch.chdir(tmp_path)

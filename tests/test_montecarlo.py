@@ -208,6 +208,135 @@ class TestKernelTables:
                 assert straddle[:, column].tolist() == s
 
 
+def _repeating_rows(tables, period):
+    """Rows 1 .. span of both tables repeat with ``period``: scanned row by
+    row against row 1 + (j - 1) % period."""
+    touch, straddle = tables
+    j = 1
+    while (j < len(straddle)
+           and (touch[j] == touch[1 + (j - 1) % period]).all()
+           and (straddle[j] == straddle[1 + (j - 1) % period]).all()):
+        j += 1
+    return j - 1
+
+
+def _fold_case(orders, b, q, columns):
+    tables = montecarlo._batch_axis_tables(
+        np.array(orders), b, q, (q + 2 * b - 2) // b)
+    return tables, montecarlo._batch_axis_fold(np.array(orders), b, tables,
+                                               columns)
+
+
+class TestBatchAxisFold:
+    """Long batch-axis horizons are reduced by residue class of the tables'
+    row period; no recall may change."""
+
+    @pytest.mark.parametrize("orders,b,q", [
+        ((1,), 1, 6000), ((2,), 3, 6000), ((7,), 10, 6000), ((4,), 6, 600),
+        ((1, 2, 3, 4), 4, 600), ((2, 3, 4, 5, 6), 6, 1000)])
+    @pytest.mark.parametrize("columns", [1, 32, 2114])
+    def test_period_and_span_match_a_scan_of_the_tables(self, orders, b, q,
+                                                        columns):
+        """The fold's period is the smallest with two repeating periods of
+        rows, and its end falls on the last whole group of periods of the
+        scanned span."""
+        tables, fold = _fold_case(orders, b, q, columns)
+        smallest = next(period for period in itertools.count(1)
+                        if _repeating_rows(tables, period) >= 2 * period)
+        assert fold.period == smallest == math.lcm(
+            *(o // math.gcd(o, b) for o in orders))
+        periods = _repeating_rows(tables, fold.period) // fold.period
+        assert fold.group == min(periods, -(-montecarlo._FOLD_WIDTH
+                                            // (fold.period * columns)))
+        assert fold.end == 1 + periods // fold.group * fold.group * fold.period
+        for full, kept in zip(tables, fold.tables):
+            rows = [*range(fold.period + 1), *range(fold.end, len(full))]
+            np.testing.assert_array_equal(kept, full[rows])
+
+    @pytest.mark.parametrize("orders,b,q", [
+        ((5,), 7, 60), ((7, 9, 11, 13), 20, 600), ((7,), 10**7, 50),
+        ((1, 2), 20, 5)])
+    def test_no_fold_without_two_periods(self, orders, b, q):
+        assert _fold_case(orders, b, q, 32)[1] is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_folded_reduction_matches_gather_random(self, data):
+        """Random crisis matrices and initial consumptions, on groups of one
+        to four cells, horizons from under two periods to hundreds of them
+        and B > Q: the folded reduction equals the gathered one."""
+        b = data.draw(st.integers(1, 12), label="B")
+        q = data.draw(st.one_of(st.integers(1, 3 * b), st.integers(1, 400)),
+                      label="Q")
+        orders = data.draw(st.lists(st.integers(1, min(b, q)), min_size=1,
+                                    max_size=4, unique=True).map(sorted),
+                           label="orders")
+        n = data.draw(st.integers(1, 40), label="trials per cell")
+        columns = data.draw(st.integers(1, 4 * len(orders) * n),
+                            label="chunk columns")
+        density = data.draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+                            label="crisis density")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="rng seed"))
+        tables, fold = _fold_case(orders, b, q, columns)
+        rows = (q + 2 * b - 2) // b
+        crisis = rng.random((rows, len(orders) * n)) < density
+        u = rng.integers(0, b, len(orders) * n)
+        cells = np.arange(len(orders))
+        gathered = montecarlo._batch_axis_recalls(tables, b, q, cells, u,
+                                                  crisis)
+        folded = montecarlo._batch_axis_recalls(tables, b, q, cells, u,
+                                                crisis, fold)
+        np.testing.assert_array_equal(folded, gathered)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_group_recalls_unchanged_by_the_fold(self, data):
+        """Whole groups, batch-axis cells with or without order-axis ones,
+        under chunk budgets from one column up: every recall equals the
+        kernel's with the fold turned off."""
+        b = data.draw(st.integers(1, 8), label="B")
+        q = data.draw(st.integers(b, 300), label="Q")
+        orders = data.draw(st.lists(st.integers(1, q), min_size=1, max_size=5,
+                                    unique=True).map(sorted), label="orders")
+        p = data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]), label="p")
+        n = data.draw(st.integers(1, 30), label="n_trials")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        budget = data.draw(st.sampled_from([None, 1, 7, 64, 4096]),
+                           label="chunk")
+        seeds = [derive_seed(seed, o, b) for o in orders]
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(montecarlo, "_CHUNK_OUTPUTS", budget)
+            folded = montecarlo._group_recalls(orders, b, q, p, seeds, n)
+            mp.setattr(montecarlo, "_batch_axis_fold", lambda *args: None)
+            gathered = montecarlo._group_recalls(orders, b, q, p, seeds, n)
+        np.testing.assert_array_equal(folded, gathered)
+
+    @pytest.mark.parametrize("o,b,q,p", [
+        (1, 1, 6000, 0.2), (2, 3, 6000, 0.2), (7, 10, 6000, 0.05),
+        (1, 100, 6000, 0.3), (3, 7, 60, 0.4)])
+    def test_matches_single_trial_path_on_long_horizons(self, monkeypatch,
+                                                        o, b, q, p):
+        """Folded horizons, long ones and one of only three periods of
+        rows, against the object-level simulator on sampled trials."""
+        folds = []
+        make_fold = montecarlo._batch_axis_fold
+
+        def recorded_fold(*args):
+            folds.append(make_fold(*args))
+            return folds[-1]
+
+        monkeypatch.setattr(montecarlo, "_batch_axis_fold", recorded_fold)
+        params = ModelParams(o, b, q, p)
+        vectorized = trial_recalls(EstimateConfig(params, 64, 9)).tolist()
+        assert folds[0] is not None
+        for i in (0, 1, 31, 63):
+            assert vectorized[i] == run_trial(
+                TrialConfig.from_seed(params, derive_seed(9, i)))
+        assert min(vectorized) < max(vectorized)
+
+
 class TestEarlyResolution:
     """Long order-axis runs are drawn in part for every trial and in full
     only for orders not yet recalled; no recall may change."""
