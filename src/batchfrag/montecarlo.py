@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,14 +49,14 @@ __all__ = [
 Z95 = 1.960
 Z98 = 2.326
 
-# Working set of one kernel chunk, in 8-byte words (1 MiB): a chunk column
-# takes n_batches + 1 stream outputs plus about ten words of per-column
-# vectors (seeds, draws, table indices, sums); a chunk that draws long runs
+# Working set of one kernel chunk, in 8-byte words (1 MiB; up to 3/2 of it
+# when a cell's trials are cut into equal chunks): a chunk column takes
+# n_batches + 1 stream outputs plus about ten words of per-column vectors
+# (seeds, draws, table indices, sums); a chunk that draws long runs
 # in part (see _probe_plan) takes fewer outputs and counts its round arrays
 # in the same budget. Chunks this small stay close to a core's cache, and
 # memory does not grow with the trial count or the grid. A sweep also caps
-# each kernel call at this many recalls and this many words in each
-# batch-axis table.
+# each kernel call at this many words in each batch-axis table.
 _CHUNK_OUTPUTS = 1 << 17
 
 
@@ -135,27 +135,43 @@ def trial_recalls(config: EstimateConfig) -> np.ndarray:
 
     Entry i equals ``run_trial(TrialConfig.from_seed(params,
     derive_seed(base_seed, i)))``. This is the one-cell case of the kernel
-    :func:`sweep` runs on every batch-size group (see :func:`_group_recalls`).
+    :func:`sweep` runs on every batch-size group (see :func:`_group_recalls`),
+    and the one caller that keeps a recall per trial.
     """
+    recalls = np.empty(config.n_trials, dtype=np.int64)
+
+    def store(cell: int, trial: int, block: np.ndarray) -> None:
+        recalls[trial:trial + block.shape[1]] = block[0]
+
+    _cell_recalls(config, store)
+    return recalls
+
+
+def _cell_recalls(config: EstimateConfig, sink: Callable) -> None:
+    """Run the trials of one cell, handing each block of recalls to ``sink``
+    as :func:`_group_recalls` does."""
     params = config.params
     _check_int64_horizon(params.batch_size, params.total_quantity)
-    recalls = _group_recalls((params.order_size,), params.batch_size,
-                             params.total_quantity, params.crisis_prob,
-                             (config.base_seed,), config.n_trials)
-    return recalls[0].astype(np.int64)
+    _group_recalls((params.order_size,), params.batch_size,
+                   params.total_quantity, params.crisis_prob,
+                   (config.base_seed,), config.n_trials, sink)
 
 
 def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
-                   base_seeds: Sequence[int], n: int) -> np.ndarray:
-    """Recalls of n trials for each cell of one batch-size group.
+                   base_seeds: Sequence[int], n: int, sink: Callable) -> None:
+    """Recalls of n trials for each cell of one batch-size group, handed to
+    ``sink`` block by block.
 
     The cells share (B, Q, p) and differ in order size (ascending) and base
-    seed; row c of the returned (cells, n) matrix (of ``_sum_type(q)``) is
-    ``trial_recalls`` of order size ``order_sizes[c]`` and base seed
-    ``base_seeds[c]``. Shared B and Q give every trial the same horizon, so
-    all trials of the group are evaluated on output-major stream tables
-    whose columns are (cell, trial) pairs, cell-major (row 0 the u draws,
-    row j + 1 the crisis draws of batch j):
+    seed. ``sink(cell, trial, block)`` receives a (cells, trials) integer
+    block whose entry (c, i) is the recall of trial ``trial + i`` of cell
+    ``cell + c``, i.e. entry ``trial + i`` of ``trial_recalls`` of order
+    size ``order_sizes[cell + c]`` and base seed ``base_seeds[cell + c]``;
+    every (cell, trial) pair is handed over exactly once, and the block is
+    not used after the call. Shared B and Q give every trial the same
+    horizon, so all trials of the group are evaluated on output-major
+    stream tables whose columns are (cell, trial) pairs, cell-major (row 0
+    the u draws, row j + 1 the crisis draws of batch j):
 
     * row 0 -> initial consumption ``u = floor(unit * B)``,
     * rows 1.. -> crisis flags ``x < unit_threshold(p)``, the integer form of
@@ -177,15 +193,17 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
 
     Columns are processed in chunks with a working set of about
     ``_CHUNK_OUTPUTS`` words (more on horizons past 4096 batches): whole
-    cells at a time when a cell's trials fit, else part of one cell. A
+    cells at a time when a cell's trials fit, else an equal part of one
+    cell, whose trials are cut into the nearest whole number of chunks
+    (so a chunk holds 3/4 to 3/2 of the budget). A
     chunk draws every row, unless it holds only order-axis cells with runs
     longer than ``4 * _probe_rows(p)`` rows and would skip enough rows:
     then it draws the rows :func:`_probe_plan` lists, the rest of those
     runs only for trials whose order is not yet recalled, and its width is
-    sized from those rows. Memory beyond the result and the per-cell
-    tables therefore grows with neither n nor the grid (``sweep`` bounds
-    both by the cells it passes); the recalls are exact integers, so
-    chunking cannot change them.
+    sized from those rows. Memory beyond the per-cell tables and what the
+    sink keeps therefore grows with neither n nor the grid (``sweep``
+    bounds the tables by the cells it passes); the recalls are exact
+    integers, so chunking cannot change them.
     """
     # widest horizon over all initial consumptions: ceil((q + b - 1) / b)
     n_batches = (q + 2 * b - 2) // b
@@ -193,7 +211,9 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     orders = np.array(order_sizes, dtype=np.int64)
     bases = np.array([s % 2**64 for s in base_seeds], dtype=np.uint64)
     split = int(np.searchsorted(orders, b, side="right"))
-    batch_axis = _batch_axis_tables(orders[:split], b, q, n_batches)
+    # W and S have min(B, Q) columns even for no cell, so skip them then
+    batch_axis = (_batch_axis_tables(orders[:split], b, q, n_batches)
+                  if split else None)
     order_axis = _order_axis_tables(orders[split:], b, q)
     # one test per group, so chunks of groups without long runs draw every
     # row with the same calls as when no run was drawn in part
@@ -205,9 +225,12 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     # _CHUNK_OUTPUTS / 4096 columns wide, and the table grows with Q instead
     columns = max(1, _CHUNK_OUTPUTS // min(n_batches + 11, 4096))
     cells_per_chunk = max(1, columns // n)
+    # a cell wider than a chunk is cut into the nearest whole number of equal
+    # chunks, 3/4 to 3/2 of the budget wide: a last chunk of a few hundred
+    # trials would cost the fixed numpy calls of a full one
+    trials_per_chunk = -(-n // max(1, round(n / columns)))
     fold = _batch_axis_fold(orders[:split], b, batch_axis,
-                            min(columns, cells_per_chunk * n))
-    recalls = np.empty((len(orders), n), dtype=_sum_type(q))
+                            cells_per_chunk * trials_per_chunk)
     for c0 in range(0, len(orders), cells_per_chunk):
         c1 = min(len(orders), c0 + cells_per_chunk)
         mid = min(max(c0, split), c1)  # cells [c0, mid) on the batch axis
@@ -216,12 +239,12 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
                 if probing and mid == c0 else None)
         if plan is None:
             outputs, tables, rounds = n_batches + 1, order_axis, None
-            trials_per_chunk = min(n, columns)
+            width = trials_per_chunk
         else:
-            outputs, tables, rounds, trials_per_chunk = plan
+            outputs, tables, rounds, width = plan
             lo, hi = 0, c1 - c0
-        for t0 in range(0, n, trials_per_chunk):
-            t1 = min(n, t0 + trials_per_chunk)
+        for t0 in range(0, n, width):
+            t1 = min(n, t0 + width)
             trials = np.arange(t0, t1, dtype=np.uint64)
             seeds = derive_seeds(bases[c0:c1, None], trials)
             x = stream_outputs(seeds.reshape(-1), outputs)
@@ -233,14 +256,13 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
             del x
             k = (mid - c0) * (t1 - t0)
             if mid > c0:
-                recalls[c0:mid, t0:t1] = _batch_axis_recalls(
+                sink(c0, t0, _batch_axis_recalls(
                     batch_axis, b, q, np.arange(c0, mid), u[:k],
-                    crisis[:, :k], fold).reshape(mid - c0, -1)
+                    crisis[:, :k], fold).reshape(mid - c0, -1))
             if c1 > mid:
-                recalls[mid:c1, t0:t1] = _order_axis_recalls(
+                sink(mid, t0, _order_axis_recalls(
                     tables, lo, hi, u[k:], crisis[:, k:],
-                    None if rounds is None else (rounds, seeds, threshold))
-    return recalls
+                    None if rounds is None else (rounds, seeds, threshold)))
 
 
 def _probe_rows(p: float) -> int:
@@ -610,30 +632,78 @@ def _sum_type(q: int) -> type:
     return np.int32 if 2 * q < 2**31 else np.int64
 
 
-def _summarize(recalls: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact int64 totals, means and sample standard errors of the mean of
-    each row of a (cells, n) recall matrix (standard error 0 when n = 1)."""
-    n = recalls.shape[1]
-    total = recalls.sum(axis=1, dtype=np.int64)
-    mean = total / n
-    if n == 1:
-        return total, mean, np.zeros_like(mean)
-    dev = recalls.astype(np.float64)
-    dev -= mean[:, None]
-    dev *= dev
-    return total, mean, np.sqrt(np.sum(dev, axis=1) / (n - 1) / n)
+class _TrialSums:
+    """Exact per-cell sums S1 = sum(x) and S2 = sum(x**2) of the recalls x
+    of some cells, taken block by block from :func:`_group_recalls` (pass
+    :meth:`add` as its sink), so no recall is kept per trial.
+
+    A recall is at most Q, so a block's sums, at most ``columns * Q**2``,
+    are exact in its own integer type or int64 while that bound fits them.
+    Other blocks (from Q of a few tens of millions at thousands of columns,
+    and every block once one square may pass int64, Q > 2**31.5) are added
+    in Python ints, as the sums across blocks always are.
+    """
+
+    def __init__(self, cells: int, q: int):
+        self.q = q
+        self.s1 = [0] * cells
+        self.s2 = [0] * cells
+
+    def add(self, cell: int, trial: int, block: np.ndarray) -> None:
+        bound = block.shape[1] * self.q ** 2
+        if bound < 2**63:
+            fits = bound < 1 << 8 * block.itemsize - 1
+            dtype = block.dtype if fits else np.int64
+            s1 = np.einsum("ci->c", block, dtype=dtype).tolist()
+            s2 = np.einsum("ci,ci->c", block, block, dtype=dtype).tolist()
+        else:
+            rows = block.tolist()
+            s1 = [sum(row) for row in rows]
+            s2 = [sum(x * x for x in row) for row in rows]
+        for c, (total, squares) in enumerate(zip(s1, s2), cell):
+            self.s1[c] += total
+            self.s2[c] += squares
+
+    def summary(self, n: int) -> tuple[list[int], list[float], list[float]]:
+        """Each cell's exact total, mean ``S1 / n`` (one division of the
+        total) and :func:`_std_error`, over its n trials."""
+        return (self.s1, [total / n for total in self.s1],
+                [_std_error(n, s1, s2) for s1, s2 in zip(self.s1, self.s2)])
+
+
+def _std_error(n: int, s1: int, s2: int) -> float:
+    """The sample standard error of the mean of n values with exact sums
+    ``s1 = sum(x)`` and ``s2 = sum(x**2)``: ``sqrt((n*s2 - s1**2) /
+    (n**2 * (n - 1)))``, correctly rounded (0 when n = 1).
+
+    With ``a = floor(num * 4**k / den)`` and ``r = isqrt(a)``, the root
+    scaled by ``2**k`` lies in [r, r + 1), and equals r exactly when
+    ``r**2 * den == num * 4**k``. k gives r at least 57 bits, so any
+    value in (r, r + 1) rounds to a double as ``r + 1/2`` does, which
+    ``float(2 * r + 1)`` rounds once.
+    """
+    num, den = n * s2 - s1 * s1, n * n * (n - 1)
+    if n == 1 or num == 0:
+        return 0.0
+    k = max(0, 58 - (num.bit_length() - den.bit_length()) // 2)
+    scaled = num << 2 * k
+    root = math.isqrt(scaled // den)
+    return math.ldexp(float(2 * root + (root * root * den != scaled)),
+                      -k - 1)
 
 
 def estimate_recall(config: EstimateConfig) -> TrialEstimate:
     """Run the configured trials and summarize the recalled quantities.
 
     Reports the sample standard error and the Z95/Z98 normal-approximation
-    half-widths around the mean.
+    half-widths around the mean. The trials are summed as they are drawn,
+    so memory does not grow with n_trials.
     """
-    total, mean, std_error = _summarize(trial_recalls(config)[None])
-    return TrialEstimate(mean_recall=float(mean[0]),
-                         std_error=float(std_error[0]),
-                         n_trials=config.n_trials, total_recalled=int(total[0]))
+    sums = _TrialSums(1, config.params.total_quantity)
+    _cell_recalls(config, sums.add)
+    [total], [mean], [std_error] = sums.summary(config.n_trials)
+    return TrialEstimate(mean_recall=mean, std_error=std_error,
+                         n_trials=config.n_trials, total_recalled=total)
 
 
 def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
@@ -646,11 +716,10 @@ def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
     grid-level mean absolute error as a percentage of the quantity. Each
     cell's estimate equals ``estimate_recall`` of that cell alone. The
     cells of one batch size are simulated together, up to
-    ``max(1, _CHUNK_OUTPUTS // max(n_trials, tables))`` of them per
-    :func:`_group_recalls` call, where ``tables`` is the size of one
-    cell's W/S tables, ``(ceil((Q + B - 1) / B) + 1) * min(B, Q)`` words
-    (13 cells at 10,000 trials in ``validate``, whose tables hold at most
-    192 words).
+    ``max(1, _CHUNK_OUTPUTS // tables)`` of them per :func:`_group_recalls`
+    call, where ``tables`` is the size of one cell's W/S tables,
+    ``(ceil((Q + B - 1) / B) + 1) * min(B, Q)`` words (every order size of
+    ``validate``, whose tables hold at most 192 words, in one call).
     """
     return _sweep(*_check_grid(quantity, crisis_prob, order_sizes,
                                batch_sizes),
@@ -677,15 +746,17 @@ def _sweep(q: int, p: float, orders: tuple[int, ...],
     sim_mean = np.empty_like(analytic)
     std_error = np.empty_like(analytic)
     for j, b in enumerate(batches):
-        # a cell brings n recalls, or W and S tables of (n_batches + 1) *
-        # min(B, Q) words each on the batch axis, whichever is more
+        # a cell brings W and S tables of (n_batches + 1) * min(B, Q) words
+        # each on the batch axis; its trials are summed as they are drawn
         table = ((q + 2 * b - 2) // b + 1) * min(b, q)
-        step = max(1, _CHUNK_OUTPUTS // max(n, table))
+        step = max(1, _CHUNK_OUTPUTS // table)
         for i in range(0, len(orders), step):
             cells = orders[i:i + step]
-            recalls = _group_recalls(cells, b, q, p,
-                                     [derive_seed(seed, o, b) for o in cells], n)
-            _, sim_mean[i:i + step, j], std_error[i:i + step, j] = _summarize(recalls)
+            sums = _TrialSums(len(cells), q)
+            seeds = [derive_seed(seed, o, b) for o in cells]
+            _group_recalls(cells, b, q, p, seeds, n, sums.add)
+            _, sim_mean[i:i + step, j], std_error[i:i + step, j] = (
+                sums.summary(n))
     abs_error = np.abs(analytic - sim_mean)
     return SweepGrid(total_quantity=q, crisis_prob=p, order_sizes=orders,
                      batch_sizes=batches, analytic=analytic, sim_mean=sim_mean,

@@ -1,5 +1,6 @@
 """Monte Carlo harness: kernel parity, estimator algebra, sweep grids."""
 
+import decimal
 import itertools
 import math
 import re
@@ -48,6 +49,36 @@ _INTEGER_ENTRIES = {
     "EstimateConfig-base_seed": ("base_seed", lambda v: EstimateConfig(
         ModelParams(**_CELL), 5, v)),
 }
+
+
+def exact_std_error(recalls):
+    """sqrt((n*S2 - S1**2) / (n**2 * (n - 1))) of integer recalls, from
+    their sums as Python ints and a 60-digit decimal root, rounded once to
+    a float (0 for one recall)."""
+    xs = [int(x) for x in recalls]
+    n, s1, s2 = len(xs), sum(xs), sum(x * x for x in xs)
+    if n == 1:
+        return 0.0
+    with decimal.localcontext() as context:
+        context.prec = 60
+        return float((decimal.Decimal(n * s2 - s1 * s1)
+                      / (n * n * (n - 1))).sqrt())
+
+
+def group_recalls(orders, b, q, p, seeds, n):
+    """The (cells, n) recall matrix whose blocks _group_recalls hands to its
+    sink; fails unless every (cell, trial) entry is handed over once."""
+    recalls = np.zeros((len(orders), n), dtype=np.int64)
+    handed = np.zeros((len(orders), n), dtype=np.int64)
+
+    def store(cell, trial, block):
+        at = np.s_[cell:cell + block.shape[0], trial:trial + block.shape[1]]
+        recalls[at] = block
+        handed[at] += 1
+
+    montecarlo._group_recalls(orders, b, q, p, seeds, n, store)
+    assert (handed == 1).all()
+    return recalls
 
 
 class TestTrialRecalls:
@@ -308,9 +339,9 @@ class TestBatchAxisFold:
         with pytest.MonkeyPatch.context() as mp:
             if budget is not None:
                 mp.setattr(montecarlo, "_CHUNK_OUTPUTS", budget)
-            folded = montecarlo._group_recalls(orders, b, q, p, seeds, n)
+            folded = group_recalls(orders, b, q, p, seeds, n)
             mp.setattr(montecarlo, "_batch_axis_fold", lambda *args: None)
-            gathered = montecarlo._group_recalls(orders, b, q, p, seeds, n)
+            gathered = group_recalls(orders, b, q, p, seeds, n)
         np.testing.assert_array_equal(folded, gathered)
 
     @pytest.mark.parametrize("o,b,q,p", [
@@ -381,7 +412,7 @@ class TestEarlyResolution:
                 mp.setattr(montecarlo, "_CHUNK_OUTPUTS", budget)
             if probe is not None:
                 mp.setattr(montecarlo, "_probe_rows", lambda p: probe)
-            recalls = montecarlo._group_recalls(orders, b, q, p, seeds, n)
+            recalls = group_recalls(orders, b, q, p, seeds, n)
             grid = sweep(q, p, orders, [b], n_trials=n, base_seed=seed)
         sample = sorted({0, n - 1, data.draw(st.integers(0, n - 1),
                                              label="trial")})
@@ -421,7 +452,7 @@ class TestEarlyResolution:
                 mp.setattr(montecarlo, "_probe_plan", recorded_plan)
                 if probe is not None:
                     mp.setattr(montecarlo, "_probe_rows", lambda p: probe)
-                recalls = montecarlo._group_recalls(orders, b, q, p, seeds, n)
+                recalls = group_recalls(orders, b, q, p, seeds, n)
             assert recalls.tolist() == expected
         if probe is not None:
             assert 2 in probing_cells and 1 in probing_cells
@@ -472,26 +503,108 @@ class TestEstimateRecall:
         assert 0.0 <= est.mean_recall <= 50.0
 
     def test_statistics_match_manual_recomputation(self):
-        """Mean, std_error and both half-widths to the last bit. std_error
-        is sqrt(sum of squared deviations / (n-1) / n); on this grid
-        dividing by n first rounds differently in some cells, so the
-        division order is pinned, not just the value."""
+        """Mean, std_error and both half-widths to the last bit, recomputed
+        from trial_recalls in Python ints. std_error is sqrt((n*S2 - S1**2)
+        / (n**2 * (n - 1))) of the exact sums S1 = sum(x), S2 = sum(x**2),
+        rounded once; on this grid rounding the ratio before the root
+        differs in some cells, so the single rounding is pinned, not just
+        the formula."""
         cells = [(7, 3, 40, 0.3, 2000, 4)] + [
             (o, b, 50, 0.15, n, seed) for o, b, n, seed in itertools.product(
                 (1, 3, 10), (1, 4, 7), (2, 3, 10, 100, 1000), range(3))]
-        other_order = 0
+        twice_rounded = 0
         for o, b, q, p, n, seed in cells:
             config = EstimateConfig(ModelParams(o, b, q, p), n, seed)
             est = estimate_recall(config)
-            recalls = trial_recalls(config)
-            mean = int(recalls.sum()) / n
-            squares = np.sum((recalls.astype(np.float64) - mean) ** 2)
-            se = math.sqrt(squares / (n - 1) / n)
-            assert (est.mean_recall, est.std_error) == (mean, se), config
+            recalls = [int(x) for x in trial_recalls(config)]
+            s1, s2 = sum(recalls), sum(x * x for x in recalls)
+            se = exact_std_error(recalls)
+            assert (est.mean_recall, est.std_error) == (s1 / n, se), config
+            assert est.total_recalled == s1
             assert est.ci95_half_width == Z95 * se
             assert est.ci98_half_width == Z98 * se
-            other_order += math.sqrt(squares / n / (n - 1)) != se
-        assert other_order > 0
+            twice_rounded += math.sqrt(
+                (n * s2 - s1 * s1) / (n * n * (n - 1))) != se
+        assert twice_rounded > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_sums_exact_and_near_the_two_pass_value(self, data):
+        """Recalls handed over in blocks of the kernel's integer type, on
+        recall vectors of quantities up to 2**40 (whose squares and sums
+        leave int32 and int64) and on the recalls of kernel cells: S1, S2,
+        the mean and std_error are exact, and where the float mean's error
+        is negligible (Q <= 2**16) std_error lies within a few ulp of the
+        two-pass value sqrt(sum((x - mean)**2) / (n - 1) / n)."""
+        if data.draw(st.booleans(), label="kernel cell"):
+            q = data.draw(st.integers(1, 200), label="Q")
+            o = data.draw(st.integers(1, q), label="O")
+            b = data.draw(st.integers(1, 250), label="B")
+            p = data.draw(st.floats(0.0, 1.0), label="p")
+            n = data.draw(st.integers(1, 300), label="n_trials")
+            recalls = trial_recalls(EstimateConfig(
+                ModelParams(o, b, q, p), n, data.draw(st.integers(0, 99))))
+            recalls = recalls.tolist()
+        else:
+            q = data.draw(st.one_of(st.integers(1, 2**16),
+                                    st.integers(2**29, 2**40)), label="Q")
+            recalls = data.draw(st.lists(st.integers(0, q) | st.just(q),
+                                         min_size=1, max_size=200),
+                                label="recalls")
+        n = len(recalls)
+        cuts = sorted(data.draw(st.sets(st.integers(1, n), max_size=4),
+                                label="block ends") | {n})
+        sums = montecarlo._TrialSums(1, q)
+        start = 0
+        for end in cuts:
+            sums.add(0, start, np.array([recalls[start:end]],
+                                        dtype=montecarlo._sum_type(q)))
+            start = end
+        [total], [mean], [se] = sums.summary(n)
+        s1 = sum(recalls)
+        assert sums.s2 == [sum(x * x for x in recalls)]
+        assert (total, mean) == (s1, s1 / n)
+        assert se == exact_std_error(recalls)
+        if q <= 2**16:
+            squares = (np.array(recalls, dtype=np.float64) - s1 / n) ** 2
+            two_pass = math.sqrt(squares.sum() / (n - 1) / n) if n > 1 else 0.0
+            assert abs(se - two_pass) <= 8 * math.ulp(two_pass)
+
+    @pytest.mark.parametrize("q,b", [(2**32 + 3, 2**31), (2**31 + 1, 2**30)])
+    def test_exact_where_squares_pass_int64(self, q, b):
+        """One order of Q units over a horizon of a few batches recalls 0 or
+        Q, so at Q > 2**31.5 one square passes int64 and at Q > 2**31 forty
+        of them do; S1 and S2 are then added in Python ints."""
+        config = EstimateConfig(ModelParams(q, b, q, 0.5), 40, 2)
+        recalls = [int(x) for x in trial_recalls(config)]
+        assert set(recalls) == {0, q}
+        est = estimate_recall(config)
+        assert est.total_recalled == sum(recalls)
+        assert est.mean_recall == sum(recalls) / 40
+        assert est.std_error == exact_std_error(recalls)
+        grid = sweep(q, 0.5, [q], [b], n_trials=40, base_seed=2)
+        assert grid.std_error[0, 0] == exact_std_error(trial_recalls(
+            EstimateConfig(config.params, 40, derive_seed(2, q, b))))
+
+    @pytest.mark.parametrize("estimate", ["estimate_recall", "sweep"])
+    def test_memory_bounded_in_trials(self, estimate):
+        """Trials are summed as they are drawn, so 4 million trials per cell
+        need no more memory than a few chunks (61 MiB for one cell and
+        46 MiB for a 6-cell sweep when every recall was kept)."""
+        n = 4_000_000
+        tracemalloc.start()
+        try:
+            if estimate == "sweep":
+                grid = sweep(50, 0.15, [5, 50], [50, 100, 200], n_trials=n)
+                result = grid.sim_mean
+            else:
+                result = estimate_recall(EstimateConfig(
+                    ModelParams(50, 100, 50, 0.15), n, 0)).mean_recall
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(result > 0)
+        assert peak < 4 * 2**20
 
     def test_zero_probability_collapses(self):
         est = estimate_recall(EstimateConfig(ModelParams(10, 4, 50, 0.0),
@@ -637,9 +750,9 @@ class TestSweep:
         assert peak < 32 * 2**20
 
     def test_memory_bounded_for_many_cells_at_few_trials(self):
-        """At few trials the cells per kernel call are capped by the size of
-        their W/S tables, not by the trial count alone, so memory does not
-        grow with the grid (a trial-count cap alone peaks at ~30 MiB here)."""
+        """The cells per kernel call are capped by the size of their W/S
+        tables, so memory does not grow with the grid at few trials (a cap
+        by the trial count alone peaks at ~30 MiB here)."""
         tracemalloc.start()
         try:
             grid = sweep(5000, 0.15, range(1, 201), [300, 4000], n_trials=1)
