@@ -59,6 +59,19 @@ Z98 = 2.326
 # each kernel call at this many words in each batch-axis table.
 _CHUNK_OUTPUTS = 1 << 17
 
+# A kernel call reads its recalls from a _recall_table when the horizon has
+# at most _TABLE_ROWS batches (a crisis pattern's code then fits a uint8),
+# each cell has at least _TABLE_TRIALS trials per table entry of its own
+# (B * 2**rows of them), and the table has at most _CHUNK_OUTPUTS // 4
+# entries. An entry costs about what a trial's reduction costs (measured on
+# a 2-vCPU Xeon): at one trial per entry validate's groups of B >= 13 ran
+# 8% slower at 300 trials than without a table, and at two or four no
+# slower; at 1,000 trials two was 4% faster than four. Without the size
+# cap, validate's tables for B = 7 .. 12 (up to 89,600 entries) raised its
+# peak RSS by 0.5 MiB.
+_TABLE_ROWS = 8
+_TABLE_TRIALS = 2
+
 
 @dataclass(frozen=True)
 class EstimateConfig:
@@ -191,6 +204,15 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     same integers as weighing every flag by its own row, so the recalls
     are unchanged. Other calls weigh every flag by its own row.
 
+    On a short horizon (at most ``_TABLE_ROWS`` batches) with enough trials
+    per cell, neither reduction runs per chunk: :func:`_recall_table` runs
+    them once per call over a column for every (cell, u, crisis pattern),
+    and each trial's recall is the table entry at ``(cell * B + u) *
+    2**rows + code``, with ``code = sum_j crisis_j * 2**j`` taken by one
+    einsum over the flags' bytes. Every row is still drawn and the entries
+    are the reductions' own integers, so draws and recalls are unchanged;
+    such calls build no fold and no probe plan.
+
     Columns are processed in chunks with a working set of about
     ``_CHUNK_OUTPUTS`` words (more on horizons past 4096 batches): whole
     cells at a time when a cell's trials fit, else an equal part of one
@@ -214,12 +236,10 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     # W and S have min(B, Q) columns even for no cell, so skip them then
     batch_axis = (_batch_axis_tables(orders[:split], b, q, n_batches)
                   if split else None)
+    # an S table of zeros (every order in one batch, as at O = 1) takes the
+    # straddle term out of every batch-axis reduction of the group
+    straddles = split > 0 and bool(batch_axis[1].any())
     order_axis = _order_axis_tables(orders[split:], b, q)
-    # one test per group, so chunks of groups without long runs draw every
-    # row with the same calls as when no run was drawn in part
-    probe = _probe_rows(p)
-    probing = probe > 0 and bool(
-        (order_axis.stop - order_axis.start > 4 * probe).any())
     # numpy's row-by-row passes (einsum, take, outer) need a few tens of
     # columns to run at speed, so horizons past 4096 batches keep chunks
     # _CHUNK_OUTPUTS / 4096 columns wide, and the table grows with Q instead
@@ -229,8 +249,20 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     # chunks, 3/4 to 3/2 of the budget wide: a last chunk of a few hundred
     # trials would cost the fixed numpy calls of a full one
     trials_per_chunk = -(-n // max(1, round(n / columns)))
-    fold = _batch_axis_fold(orders[:split], b, batch_axis,
-                            cells_per_chunk * trials_per_chunk)
+    table = None
+    if (n_batches <= _TABLE_ROWS and _TABLE_TRIALS * b << n_batches <= n
+            and len(orders) * b << n_batches <= _CHUNK_OUTPUTS // 4):
+        table = _recall_table(batch_axis, order_axis, split, len(orders), b,
+                              q, n_batches, straddles, columns)
+        weights = (1 << np.arange(n_batches)).astype(np.uint8)
+    # one test per group, so chunks of groups without long runs draw every
+    # row with the same calls as when no run was drawn in part
+    probe = _probe_rows(p)
+    probing = table is None and probe > 0 and bool(
+        (order_axis.stop - order_axis.start > 4 * probe).any())
+    fold = (_batch_axis_fold(orders[:split], b, batch_axis,
+                             cells_per_chunk * trials_per_chunk)
+            if table is None else None)
     for c0 in range(0, len(orders), cells_per_chunk):
         c1 = min(len(orders), c0 + cells_per_chunk)
         mid = min(max(c0, split), c1)  # cells [c0, mid) on the batch axis
@@ -254,15 +286,63 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
             else:
                 crisis = x[1:] < np.uint64(threshold)
             del x
+            if table is not None:
+                # (cell * B + u) * 2**rows + the pattern's code, in u's place
+                at = u.reshape(c1 - c0, -1)
+                at += np.arange(c0 * b, c1 * b, b)[:, None]
+                at <<= n_batches
+                at += np.einsum("j,ji->i", weights, crisis.view(np.uint8)
+                                ).reshape(c1 - c0, -1)
+                sink(c0, t0, table.take(at))
+                continue
             k = (mid - c0) * (t1 - t0)
             if mid > c0:
                 sink(c0, t0, _batch_axis_recalls(
                     batch_axis, b, q, np.arange(c0, mid), u[:k],
-                    crisis[:, :k], fold).reshape(mid - c0, -1))
+                    crisis[:, :k], fold, straddles=straddles).reshape(
+                        mid - c0, -1))
             if c1 > mid:
                 sink(mid, t0, _order_axis_recalls(
                     tables, lo, hi, u[k:], crisis[:, k:],
                     None if rounds is None else (rounds, seeds, threshold)))
+
+
+def _recall_table(batch_axis: tuple | None, order_axis: _OrderAxis,
+                  split: int, cells: int, b: int, q: int, rows: int,
+                  straddles: bool, columns: int) -> np.ndarray:
+    """Recall of every (cell, initial consumption u, crisis pattern) of a
+    group whose horizon has ``rows`` batches, entry ``(cell * B + u) *
+    2**rows + code`` with ``code = sum_j crisis_j * 2**j``.
+
+    The entries are the recalls of :func:`_batch_axis_recalls` (cells below
+    ``split``) and :func:`_order_axis_recalls` on synthetic columns, one
+    for each u in [0, B) and each pattern, taken in slices of at most
+    ``columns`` columns (or one cell's u values, whole patterns) so the
+    build's working set is a chunk's.
+    """
+    patterns = 1 << rows
+    table = np.empty((cells, b << rows), dtype=_sum_type(q))
+    # bit j of every pattern's code, for one u
+    flags = (np.arange(patterns) >> np.arange(rows)[:, None]) & 1 == 1
+    width = min(b, max(1, columns >> rows))  # u values per slice
+    step = max(1, columns // (width << rows))  # cells per slice
+    for first, last in ((0, split), (split, cells)):
+        for c0 in range(first, last, step):
+            c1 = min(last, c0 + step)
+            for u0 in range(0, b, width):
+                u1 = min(b, u0 + width)
+                u = np.tile(np.repeat(np.arange(u0, u1), patterns), c1 - c0)
+                crisis = np.tile(flags, (c1 - c0) * (u1 - u0))
+                if c1 <= split:
+                    recalls = _batch_axis_recalls(
+                        batch_axis, b, q, np.arange(c0, c1), u, crisis,
+                        straddles=straddles)
+                else:
+                    recalls = _order_axis_recalls(
+                        order_axis, c0 - split, c1 - split, u, crisis)
+                table[c0:c1, u0 << rows:u1 << rows] = recalls.reshape(
+                    c1 - c0, -1)
+    return table.reshape(-1)
 
 
 def _probe_rows(p: float) -> int:
@@ -510,7 +590,8 @@ def _batch_axis_tables(order_sizes: np.ndarray, b: int, q: int,
 
 def _batch_axis_recalls(tables: tuple[np.ndarray, np.ndarray], b: int, q: int,
                         cells: np.ndarray, u: np.ndarray, crisis: np.ndarray,
-                        fold: _BatchAxisFold | None = None) -> np.ndarray:
+                        fold: _BatchAxisFold | None = None,
+                        straddles: bool = True) -> np.ndarray:
     """Recalls reduced batch by batch, for orders no longer than batches.
 
     Every order then touches one batch or two adjacent ones, so by
@@ -527,18 +608,23 @@ def _batch_axis_recalls(tables: tuple[np.ndarray, np.ndarray], b: int, q: int,
     place of the flags against the fold's tables, which hold row 0, one
     period of rows and the rows from ``end`` on. The sums are the same
     exact integers, so no recall changes; the gathers and products cover
-    ``period`` rows of the span instead of all ``end - 1``.
+    ``period`` rows of the span instead of all ``end - 1``. Without
+    ``straddles`` (the caller's word that S is all zeros) the second sum,
+    its flags and its gather are skipped.
     """
     lo = max(0, b - q)
     at = ((cells * (b - lo) - lo)[:, None]
           + np.maximum(u, lo).reshape(len(cells), -1)).reshape(-1)
-    both = crisis[:-1] & crisis[1:]
+    both = crisis[:-1] & crisis[1:] if straddles else None
     if fold is not None:
         tables = fold.tables
-        crisis, both = (_fold_rows(flags, fold) for flags in (crisis, both))
-    touch, straddle = (np.take(t, at, axis=1) for t in tables)
-    return (np.einsum("ji,ji->i", crisis, touch)
-            - np.einsum("ji,ji->i", both, straddle))
+        crisis = _fold_rows(crisis, fold)
+        if straddles:
+            both = _fold_rows(both, fold)
+    recalls = np.einsum("ji,ji->i", crisis, np.take(tables[0], at, axis=1))
+    if straddles:
+        recalls -= np.einsum("ji,ji->i", both, np.take(tables[1], at, axis=1))
+    return recalls
 
 
 class _BatchAxisFold(NamedTuple):

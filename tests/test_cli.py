@@ -478,10 +478,17 @@ class TestDeterminismGuard:
           "-n", "300", "--seed", "3", "--out", "out.csv"],
          "ff5812878ea9497518ae125f276b9e16615bb8b05bee5164eca78ff89deaaf03",
          "ff5812878ea9497518ae125f276b9e16615bb8b05bee5164eca78ff89deaaf03"),
+        # batch sizes 5 to 40 have at most 8 batches, so they read their
+        # recalls from the table of every (cell, u, crisis pattern)
+        (["sweep", "-Q", "30", "-p", "0.2", "--order-range", "1:30",
+          "--batch-range", "1:40", "-n", "3000", "--seed", "2",
+          "--out", "out.csv"],
+         "10492a541c70cebee65031b416ba165076ed824aff4dd7ccae7f8af86274a0c0",
+         "c4e5a65488ed41ac0ac5aa19386cae390c00b5ce05ad5bb2be1caba270fe8aee"),
     ], ids=["validate", "sweep", "simulate-dump-trial", "analytic",
             "fragments", "sweep-analytic-only", "simulate-long-horizon",
             "simulate-surviving-orders", "sweep-probing",
-            "simulate-folded-batch-axis"])
+            "simulate-folded-batch-axis", "sweep-recall-table"])
     def test_output_digests(self, capsys, tmp_path, monkeypatch, argv,
                             stdout_sha256, file_sha256):
         monkeypatch.chdir(tmp_path)

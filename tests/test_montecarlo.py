@@ -368,6 +368,170 @@ class TestBatchAxisFold:
         assert min(vectorized) < max(vectorized)
 
 
+def unit_recalls(o, b, q, u, crisis):
+    """Recall of each column by the process's definition, unit by unit:
+    unit t lies in batch ``(u + t) // B``, and an order is recalled iff one
+    of its units lies in a crisis batch. No W/S table, run or fold."""
+    hit = np.take_along_axis(crisis, (u + np.arange(q)[:, None]) // b, axis=0)
+    firsts = np.arange(0, q, o)
+    recalled = np.logical_or.reduceat(hit, firsts, axis=0)
+    return np.minimum(o, q - firsts) @ recalled
+
+
+def every_pattern(b, rows):
+    """A column for each initial consumption u in [0, B) and each of the
+    2**rows crisis patterns, u-major: column ``u * 2**rows + code`` has
+    crisis flag j set iff bit j of code is."""
+    patterns = 1 << rows
+    flags = (np.arange(patterns) >> np.arange(rows)[:, None]) & 1 == 1
+    return np.repeat(np.arange(b), patterns), np.tile(flags, b)
+
+
+class TestExhaustiveReductions:
+    """Every Q <= 10, B <= 12, O <= Q, u in [0, B) and crisis pattern: both
+    reductions, with and without the fold and the straddle term, and the
+    recall table, against the process's unit-by-unit definition."""
+
+    def test_reductions_and_table_match_the_definition(self):
+        checked = 0
+        for q, b in itertools.product(range(1, 11), range(1, 13)):
+            rows = (q + 2 * b - 2) // b
+            u, crisis = every_pattern(b, rows)
+            orders = np.arange(1, q + 1)
+            expected = np.stack([unit_recalls(o, b, q, u, crisis)
+                                 for o in orders])
+            split = min(b, q)  # cells [0, split) on the batch axis
+            tables = montecarlo._batch_axis_tables(orders[:split], b, q, rows)
+            for cells in (range(split), *([c] for c in range(split))):
+                cells = np.array(cells)
+                own = montecarlo._batch_axis_tables(orders[cells], b, q, rows)
+                tiled = (np.tile(u, len(cells)), np.tile(crisis, len(cells)))
+                local = np.arange(len(cells))
+                folded = montecarlo._batch_axis_fold(orders[cells], b, own,
+                                                     len(tiled[0]))
+                for fold in (None,) if folded is None else (None, folded):
+                    got = montecarlo._batch_axis_recalls(own, b, q, local,
+                                                         *tiled, fold)
+                    np.testing.assert_array_equal(
+                        got.reshape(len(cells), -1), expected[cells])
+                    if not own[1].any():
+                        got = montecarlo._batch_axis_recalls(
+                            own, b, q, local, *tiled, fold, straddles=False)
+                        np.testing.assert_array_equal(
+                            got.reshape(len(cells), -1), expected[cells])
+            order_axis = montecarlo._order_axis_tables(orders[split:], b, q)
+            if q > split:
+                got = montecarlo._order_axis_recalls(
+                    order_axis, 0, q - split, np.tile(u, q - split),
+                    np.tile(crisis, q - split))
+                np.testing.assert_array_equal(got, expected[split:])
+            straddles = bool(tables[1].any())
+            for columns in (3 << rows, 1 << 20):
+                table = montecarlo._recall_table(
+                    tables, order_axis, split, q, b, q, rows, straddles,
+                    columns)
+                np.testing.assert_array_equal(table, expected.reshape(-1))
+            checked += expected.size
+        assert checked == 42084
+
+
+class TestRecallTable:
+    """Short horizons read each trial's recall from a table of every
+    (cell, u, crisis pattern); no recall and no draw may change."""
+
+    @staticmethod
+    def _record(mp, name):
+        calls = []
+        make = getattr(montecarlo, name)
+
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs, make(*args, **kwargs)))
+            return calls[-1][2]
+
+        mp.setattr(montecarlo, name, recorded)
+        return calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_group_recalls_match_the_reductions(self, data):
+        """Groups of one to four cells on either axis or both, with enough
+        trials for the table, several cells to a chunk or cells cut into
+        chunks: every recall
+        equals the reductions' with the table turned off, sampled trials
+        equal run_trial, and every row is still drawn."""
+        b = data.draw(st.integers(1, 8), label="B")
+        rows = data.draw(st.integers(1, min(8, (512 // b).bit_length() - 1)),
+                         label="rows")
+        q = data.draw(st.integers(max(1, (rows - 2) * b + 2),
+                                  (rows - 1) * b + 1), label="Q")
+        orders = data.draw(st.lists(st.integers(1, q), min_size=1, max_size=4,
+                                    unique=True).map(sorted), label="orders")
+        p = data.draw(st.sampled_from([0.0, 2**-53, 0.3, 1.0]), label="p")
+        n = data.draw(st.integers(0, 64), label="extra trials") + (
+            montecarlo._TABLE_TRIALS * b << rows)
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        budget = data.draw(st.sampled_from([None, 1 << 15]), label="chunk")
+        seeds = [derive_seed(seed, o, b) for o in orders]
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:  # cells cut into chunks, table kept
+                mp.setattr(montecarlo, "_CHUNK_OUTPUTS", budget)
+            tables = self._record(mp, "_recall_table")
+            draws = self._record(mp, "stream_outputs")
+            recalls = group_recalls(orders, b, q, p, seeds, n)
+            assert len(tables) == 1
+            assert sum(out.size for *_, out in draws) == (
+                len(orders) * n * (rows + 1))
+            mp.setattr(montecarlo, "_TABLE_ROWS", 0)
+            reduced = group_recalls(orders, b, q, p, seeds, n)
+            assert len(tables) == 1
+        np.testing.assert_array_equal(recalls, reduced)
+        sample = sorted({0, n - 1, data.draw(st.integers(0, n - 1),
+                                             label="trial")})
+        for c, (o, cell_seed) in enumerate(zip(orders, seeds)):
+            for i in sample:
+                assert recalls[c, i] == run_trial(TrialConfig.from_seed(
+                    ModelParams(o, b, q, p), derive_seed(cell_seed, i)))
+
+    @pytest.mark.parametrize("orders,b,q,slack,used,probed", [
+        ((1, 5), 4, 20, 0, True, False),          # 6 rows
+        ((1, 5), 4, 20, -1, False, False),        # one trial too few
+        ((1, 7), 1, 8, 0, True, False),           # 8 rows, runs of 6
+        ((1, 7), 1, 9, 10**4, False, True),       # 9 rows
+        (range(1, 11), 7, 50, 0, True, False),    # 17,920 entries
+        (range(1, 51), 7, 50, 0, False, True),    # 89,600 entries
+    ])
+    def test_used_only_on_short_horizons_with_enough_trials(
+            self, monkeypatch, orders, b, q, slack, used, probed):
+        """The fewest trials that take the table, and the horizon and size
+        limits; at p = 1 runs of more than 4 rows are probed, except on the
+        table path."""
+        rows = (q + 2 * b - 2) // b
+        n = (montecarlo._TABLE_TRIALS * b << rows) + slack
+        tables = self._record(monkeypatch, "_recall_table")
+        plans = self._record(monkeypatch, "_probe_plan")
+        montecarlo._group_recalls(tuple(orders), b, q, 1.0,
+                                  list(range(len(orders))), n,
+                                  lambda *block: None)
+        assert (len(tables), bool(plans)) == (used, probed)
+
+    @pytest.mark.parametrize("orders,b,q,straddles", [
+        ((1,), 1, 6000, False), ((1,), 7, 50, False), ((1, 2), 3, 50, True),
+        ((3,), 100, 50, True), ((1, 60), 20, 100, False)])
+    def test_straddle_term_decided_once_per_group(self, monkeypatch, orders,
+                                                  b, q, straddles):
+        """Only a group whose S table is all zeros (O = 1) skips the
+        straddle term, and every batch-axis reduction of it does."""
+        calls = self._record(monkeypatch, "_batch_axis_recalls")
+        monkeypatch.setattr(montecarlo, "_CHUNK_OUTPUTS", 1 << 11)
+        recalls = group_recalls(orders, b, q, 0.3, [4] * len(orders), 300)
+        assert len(calls) > 1
+        assert {kwargs["straddles"] for _, kwargs, _ in calls} == {straddles}
+        for c, o in enumerate(orders):
+            for i in (0, 299):
+                assert recalls[c, i] == run_trial(TrialConfig.from_seed(
+                    ModelParams(o, b, q, 0.3), derive_seed(4, i)))
+
+
 class TestEarlyResolution:
     """Long order-axis runs are drawn in part for every trial and in full
     only for orders not yet recalled; no recall may change."""
