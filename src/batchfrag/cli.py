@@ -8,8 +8,8 @@ sweep against fixed checkpoints, and ``fragments`` writes the expected
 fragmentation curve for one order size.
 
 Exit statuses are a stable contract: 0 success or validation pass, 1 io
-error, 2 usage error, 3 validation failure. Every subcommand is
-deterministic given its full flag set, including the seed.
+error or out of memory, 2 usage error, 3 validation failure. Every
+subcommand is deterministic given its full flag set, including the seed.
 """
 
 from __future__ import annotations
@@ -329,6 +329,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the array it could not make
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return 1
 
 

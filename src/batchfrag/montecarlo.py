@@ -194,15 +194,18 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
       cells with O <= B (which come first) by :func:`_batch_axis_recalls`,
       the rest by :func:`_order_axis_recalls`.
 
-    The batch-axis cells' W and S tables are built once per call. Their
-    rows repeat with the lcm of the cells' periods ``O / gcd(O, B)`` from
-    row 1 until the end of the horizon or the last order changes them;
-    :func:`_batch_axis_fold` reads off that span with one comparison of the
-    tables against themselves a period later. Where it holds at least two
-    periods, every chunk counts its crisis flags per residue class over the
-    span and weighs the counts by one period of rows, which adds up the
-    same integers as weighing every flag by its own row, so the recalls
-    are unchanged. Other calls weigh every flag by its own row.
+    The batch-axis cells' W and S tables are built once per call, as one
+    :class:`_BatchAxis` that carries both per-call decisions: S is None
+    when it is all zeros (as at O = 1), which drops the straddle term, and
+    the tables are folded when their rows repeat. They repeat with the lcm
+    of the cells' periods ``O / gcd(O, B)`` from row 1 until the end of the
+    horizon or the last order changes them; :func:`_batch_axis_fold` reads
+    off that span with one comparison of the tables against themselves a
+    period later. Where it holds at least two periods, every chunk counts
+    its crisis flags per residue class over the span and weighs the counts
+    by one period of rows, which adds up the same integers as weighing
+    every flag by its own row, so the recalls are unchanged. Other calls
+    weigh every flag by its own row.
 
     On a short horizon (at most ``_TABLE_ROWS`` batches) with enough trials
     per cell, neither reduction runs per chunk: :func:`_recall_table` runs
@@ -217,15 +220,17 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     ``_CHUNK_OUTPUTS`` words (more on horizons past 4096 batches): whole
     cells at a time when a cell's trials fit, else an equal part of one
     cell, whose trials are cut into the nearest whole number of chunks
-    (so a chunk holds 3/4 to 3/2 of the budget). A
-    chunk draws every row, unless it holds only order-axis cells with runs
-    longer than ``4 * _probe_rows(p)`` rows and would skip enough rows:
-    then it draws the rows :func:`_probe_plan` lists, the rest of those
-    runs only for trials whose order is not yet recalled, and its width is
-    sized from those rows. Memory beyond the per-cell tables and what the
-    sink keeps therefore grows with neither n nor the grid (``sweep``
-    bounds the tables by the cells it passes); the recalls are exact
-    integers, so chunking cannot change them.
+    (so a chunk holds 3/4 to 3/2 of the budget). Chunks are cut where the
+    batch axis ends, so each chunk's cells share one axis, and each chunk
+    makes one reduction (or one table lookup, which spans both axes) and
+    one ``sink`` call. An order-axis chunk draws every row, unless its
+    cells have runs longer than ``4 * _probe_rows(p)`` rows and it would
+    skip enough rows: then it draws the rows :func:`_probe_plan` lists,
+    the rest of those runs only for trials whose order is not yet
+    recalled, and its width is sized from those rows. Memory beyond the
+    per-cell tables and what the sink keeps therefore grows with neither n
+    nor the grid (``sweep`` bounds the tables by the cells it passes); the
+    recalls are exact integers, so chunking cannot change them.
     """
     # widest horizon over all initial consumptions: ceil((q + b - 1) / b)
     n_batches = (q + 2 * b - 2) // b
@@ -236,9 +241,6 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     # W and S have min(B, Q) columns even for no cell, so skip them then
     batch_axis = (_batch_axis_tables(orders[:split], b, q, n_batches)
                   if split else None)
-    # an S table of zeros (every order in one batch, as at O = 1) takes the
-    # straddle term out of every batch-axis reduction of the group
-    straddles = split > 0 and bool(batch_axis[1].any())
     order_axis = _order_axis_tables(orders[split:], b, q)
     # numpy's row-by-row passes (einsum, take, outer) need a few tens of
     # columns to run at speed, so horizons past 4096 batches keep chunks
@@ -252,74 +254,78 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     table = None
     if (n_batches <= _TABLE_ROWS and _TABLE_TRIALS * b << n_batches <= n
             and len(orders) * b << n_batches <= _CHUNK_OUTPUTS // 4):
-        table = _recall_table(batch_axis, order_axis, split, len(orders), b,
-                              q, n_batches, straddles, columns)
+        table = _recall_table(batch_axis, order_axis, split, b, q, n_batches,
+                              columns)
         weights = (1 << np.arange(n_batches)).astype(np.uint8)
+        axes = ((0, len(orders)),)  # one lookup reduces both axes
+    else:
+        if split:
+            batch_axis = _batch_axis_fold(orders[:split], b, batch_axis,
+                                          cells_per_chunk * trials_per_chunk)
+        axes = ((0, split), (split, len(orders)))
     # one test per group, so chunks of groups without long runs draw every
     # row with the same calls as when no run was drawn in part
     probe = _probe_rows(p)
     probing = table is None and probe > 0 and bool(
-        (order_axis.stop - order_axis.start > 4 * probe).any())
-    fold = (_batch_axis_fold(orders[:split], b, batch_axis,
-                             cells_per_chunk * trials_per_chunk)
-            if table is None else None)
-    for c0 in range(0, len(orders), cells_per_chunk):
-        c1 = min(len(orders), c0 + cells_per_chunk)
-        mid = min(max(c0, split), c1)  # cells [c0, mid) on the batch axis
-        lo, hi = mid - split, c1 - split
-        plan = (_probe_plan(order_axis, lo, hi, n_batches, probe, n)
-                if probing and mid == c0 else None)
-        if plan is None:
-            outputs, tables, rounds = n_batches + 1, order_axis, None
-            width = trials_per_chunk
-        else:
-            outputs, tables, rounds, width = plan
-            lo, hi = 0, c1 - c0
-        for t0 in range(0, n, width):
-            t1 = min(n, t0 + width)
-            trials = np.arange(t0, t1, dtype=np.uint64)
-            seeds = derive_seeds(bases[c0:c1, None], trials)
-            x = stream_outputs(seeds.reshape(-1), outputs)
-            u = np.minimum((unit_floats(x[0]) * b).astype(np.int64), b - 1)
-            if threshold == 1 << 64:  # p == 1: every output is below it
-                crisis = np.ones((len(x) - 1, x.shape[1]), dtype=bool)
+        (order_axis.stop - order_axis.head - 1 > 4 * probe).any())
+    for first, last in axes:
+        for c0 in range(first, last, cells_per_chunk):
+            c1 = min(last, c0 + cells_per_chunk)
+            lo, hi = c0 - split, c1 - split  # order-axis cells, if c0 >= split
+            plan = (_probe_plan(order_axis, lo, hi, n_batches, probe, n)
+                    if probing and c0 >= split else None)
+            if plan is None:
+                outputs, tables, rounds = n_batches + 1, order_axis, None
+                width = trials_per_chunk
             else:
-                crisis = x[1:] < np.uint64(threshold)
-            del x
-            if table is not None:
-                # (cell * B + u) * 2**rows + the pattern's code, in u's place
-                at = u.reshape(c1 - c0, -1)
-                at += np.arange(c0 * b, c1 * b, b)[:, None]
-                at <<= n_batches
-                at += np.einsum("j,ji->i", weights, crisis.view(np.uint8)
-                                ).reshape(c1 - c0, -1)
-                sink(c0, t0, table.take(at))
-                continue
-            k = (mid - c0) * (t1 - t0)
-            if mid > c0:
-                sink(c0, t0, _batch_axis_recalls(
-                    batch_axis, b, q, np.arange(c0, mid), u[:k],
-                    crisis[:, :k], fold, straddles=straddles).reshape(
-                        mid - c0, -1))
-            if c1 > mid:
-                sink(mid, t0, _order_axis_recalls(
-                    tables, lo, hi, u[k:], crisis[:, k:],
-                    None if rounds is None else (rounds, seeds, threshold)))
+                outputs, tables, rounds, width = plan
+                lo, hi = 0, c1 - c0
+            for t0 in range(0, n, width):
+                trials = np.arange(t0, min(n, t0 + width), dtype=np.uint64)
+                seeds = derive_seeds(bases[c0:c1, None], trials)
+                x = stream_outputs(seeds.reshape(-1), outputs)
+                u = np.minimum((unit_floats(x[0]) * b).astype(np.int64), b - 1)
+                if threshold == 1 << 64:  # p == 1: every output is below it
+                    crisis = np.ones((len(x) - 1, x.shape[1]), dtype=bool)
+                else:
+                    crisis = x[1:] < np.uint64(threshold)
+                del x
+                if table is not None:
+                    # (cell * B + u) * 2**rows + the pattern's code, in u's
+                    # place
+                    at = u.reshape(c1 - c0, -1)
+                    at += np.arange(c0 * b, c1 * b, b)[:, None]
+                    at <<= n_batches
+                    at += np.einsum("j,ji->i", weights, crisis.view(np.uint8)
+                                    ).reshape(c1 - c0, -1)
+                    recalls = table.take(at)
+                elif c0 < split:
+                    recalls = _batch_axis_recalls(
+                        batch_axis, b, q, np.arange(c0, c1), u, crisis
+                    ).reshape(c1 - c0, -1)
+                else:
+                    recalls = _order_axis_recalls(
+                        tables, lo, hi, u, crisis,
+                        None if rounds is None else (rounds, seeds, threshold))
+                sink(c0, t0, recalls)
+                del recalls  # not kept while the next chunk draws
 
 
-def _recall_table(batch_axis: tuple | None, order_axis: _OrderAxis,
-                  split: int, cells: int, b: int, q: int, rows: int,
-                  straddles: bool, columns: int) -> np.ndarray:
+def _recall_table(batch_axis: _BatchAxis | None, order_axis: _OrderAxis,
+                  split: int, b: int, q: int, rows: int,
+                  columns: int) -> np.ndarray:
     """Recall of every (cell, initial consumption u, crisis pattern) of a
     group whose horizon has ``rows`` batches, entry ``(cell * B + u) *
     2**rows + code`` with ``code = sum_j crisis_j * 2**j``.
 
     The entries are the recalls of :func:`_batch_axis_recalls` (cells below
-    ``split``) and :func:`_order_axis_recalls` on synthetic columns, one
-    for each u in [0, B) and each pattern, taken in slices of at most
-    ``columns`` columns (or one cell's u values, whole patterns) so the
-    build's working set is a chunk's.
+    ``split``, on the unfolded ``batch_axis``) and
+    :func:`_order_axis_recalls` on synthetic columns, one for each u in
+    [0, B) and each pattern, taken in slices of at most ``columns`` columns
+    (or one cell's u values, whole patterns) so the build's working set is
+    a chunk's.
     """
+    cells = split + len(order_axis.first) - 1
     patterns = 1 << rows
     table = np.empty((cells, b << rows), dtype=_sum_type(q))
     # bit j of every pattern's code, for one u
@@ -335,8 +341,7 @@ def _recall_table(batch_axis: tuple | None, order_axis: _OrderAxis,
                 crisis = np.tile(flags, (c1 - c0) * (u1 - u0))
                 if c1 <= split:
                     recalls = _batch_axis_recalls(
-                        batch_axis, b, q, np.arange(c0, c1), u, crisis,
-                        straddles=straddles)
+                        batch_axis, b, q, np.arange(c0, c1), u, crisis)
                 else:
                     recalls = _order_axis_recalls(
                         order_axis, c0 - split, c1 - split, u, crisis)
@@ -363,17 +368,18 @@ def _probe_plan(tables: _OrderAxis, lo: int, hi: int, n_batches: int,
     every trial.
 
     The block draws row 0 and the rows of every order's head and tail, of
-    every short run, and of the first ``probe`` rows of every long run; a
-    long run whose remaining rows another order of the block reads anyway
-    is read whole. Returns None when no run is left in part, or when a
-    chunk would skip fewer than ``_CHUNK_OUTPUTS`` stream outputs: each
-    round of :func:`_finish_long_runs` costs a few tens of numpy calls
-    whatever its size, and in ``validate -n 1000`` (B = 1, chunks of two
-    cells, 58,000 outputs skipped) the rounds cost more than the skipped
-    outputs. Else returns the stream output indices to draw (a column),
-    the tables of :func:`_order_axis_recalls` for cells [0, hi - lo) with
-    every row replaced by its position among the drawn rows, the long runs
-    for :func:`_finish_long_runs` (their orders, the cell of each, and the
+    every short run, and of the first ``probe`` rows of every long run.
+    Every long run ends in rounds, even where other orders of the block
+    read its other rows: the rounds draw those again, and recall is an OR.
+    Returns None when no run is long, or when a chunk would skip fewer
+    than ``_CHUNK_OUTPUTS`` stream outputs: each round of
+    :func:`_finish_long_runs` costs a few tens of numpy calls whatever its
+    size, and in ``validate -n 1000`` (B = 1, chunks of two cells, 58,000
+    outputs skipped) the rounds cost more than the skipped outputs. Else
+    returns the stream output indices to draw (a column), the tables of
+    :func:`_order_axis_recalls` for cells [0, hi - lo) with every row
+    replaced by its position among the drawn rows, the long runs for
+    :func:`_finish_long_runs` (their orders, the cell of each, and the
     stream outputs of the first row not drawn and of the last row), and
     the trials per chunk. A chunk column takes its stream outputs, about
     ten words of vectors, and its share of the round arrays: 3 words per
@@ -381,7 +387,7 @@ def _probe_plan(tables: _OrderAxis, lo: int, hi: int, n_batches: int,
     """
     orders = slice(tables.first[lo], tables.first[hi])
     head, tail = tables.head[orders], tables.tail[orders]
-    start, stop = tables.start[orders], tables.stop[orders]
+    start, stop = head + 1, tables.stop[orders]
     long = stop - start > 4 * probe
     if not long.any():
         return None
@@ -394,14 +400,10 @@ def _probe_plan(tables: _OrderAxis, lo: int, hi: int, n_batches: int,
     # before[j]: the rows read below row j, so the position of row j
     before = np.zeros(n_batches + 1, dtype=np.int64)
     np.cumsum(read, out=before[1:])
-    long &= before[stop] - before[drawn] < stop - drawn
-    if not long.any():
-        return None
-    drawn = np.where(long, drawn, stop)
     block = _OrderAxis(
         tables.sizes[orders], tables.cell[orders] - lo,
         tables.first[lo:hi + 1] - tables.first[lo], before[head],
-        before[tail], before[start], before[drawn], tables.head_lim[orders],
+        before[tail], before[drawn], tables.head_lim[orders],
         tables.tail_lim[orders])
     long = np.flatnonzero(long)
     rounds = (long, block.cell[long], (drawn[long] + 1).astype(np.uint64),
@@ -454,15 +456,15 @@ class _OrderAxis(NamedTuple):
     first and last batches ``s//B`` and ``e//B + 1`` (rows ``head`` and
     ``tail``; the tail row is clamped to the horizon, which it passes only
     when ``e % B == 0``, where it is never read) and its always-touched run
-    ``s//B + 1 .. e//B`` (rows [start, stop)). :func:`_probe_plan` replaces
-    each row by its position among the rows a block draws."""
+    ``s//B + 1 .. e//B`` (rows [head + 1, stop)). :func:`_probe_plan`
+    replaces each row by its position among the rows a block draws; the
+    head row is always drawn, so the run still starts at ``head + 1``."""
 
     sizes: np.ndarray     # units in each order
     cell: np.ndarray      # the cell of each order
     first: np.ndarray     # index of each cell's first order, then the total
     head: np.ndarray
     tail: np.ndarray
-    start: np.ndarray
     stop: np.ndarray
     head_lim: np.ndarray  # the head batch is touched iff u < head_lim
     tail_lim: np.ndarray  # the tail batch is touched iff u >= tail_lim
@@ -478,8 +480,8 @@ def _order_axis_tables(order_sizes: np.ndarray, b: int, q: int) -> _OrderAxis:
     ends = np.minimum(starts + order_sizes[cell], q) - 1
     head, tail = starts // b, ends // b + 1
     return _OrderAxis(ends - starts + 1, cell, first, head,
-                      np.minimum(tail, (q + 2 * b - 2) // b - 1), head + 1,
-                      tail, b - starts % b, b - ends % b)
+                      np.minimum(tail, (q + 2 * b - 2) // b - 1), tail,
+                      b - starts % b, b - ends % b)
 
 
 def _order_axis_recalls(tables: _OrderAxis, lo: int, hi: int,
@@ -498,11 +500,11 @@ def _order_axis_recalls(tables: _OrderAxis, lo: int, hi: int,
     ``u`` and ``crisis`` hold the columns of cells [lo, hi) of ``tables``,
     cell-major; returns (hi - lo, trials).
     """
-    sizes, cell, first, head, tail, start, stop, head_lim, tail_lim = tables
+    sizes, cell, first, head, tail, stop, head_lim, tail_lim = tables
     orders = slice(first[lo], first[hi])
     cell, head, tail = cell[orders] - lo, head[orders], tail[orders]
     crisis = crisis.reshape(len(crisis), hi - lo, -1)
-    touched = _crisis_in_rows(crisis, start[orders], stop[orders], cell)
+    touched = _crisis_in_rows(crisis, head + 1, stop[orders], cell)
     u = u.reshape(hi - lo, -1)[cell]
     touched |= crisis[head, cell] & (u < head_lim[orders, None])
     touched |= crisis[tail, cell] & (u >= tail_lim[orders, None])
@@ -551,12 +553,33 @@ def _crisis_in_rows(crisis: np.ndarray, start: np.ndarray, stop: np.ndarray,
     return touched
 
 
+class _BatchAxis(NamedTuple):
+    """The W and S tables of :func:`_batch_axis_recalls` for some
+    batch-axis cells, built by :func:`_batch_axis_tables`.
+
+    ``straddle`` is None when S is all zeros (every order in one batch, as
+    at O = 1), which takes the straddle term out of every reduction. With
+    ``period`` 0 the tables hold every row. Else (see
+    :func:`_batch_axis_fold`) rows 1 .. end - 1 of both repeat with
+    ``period`` for every column, the tables hold only row 0, rows 1 ..
+    period and the rows from ``end`` on, and ``group`` periods at a time
+    are added up in one row of :func:`_fold_rows`.
+    """
+
+    touch: np.ndarray
+    straddle: np.ndarray | None
+    period: int
+    group: int
+    end: int
+
+
 def _batch_axis_tables(order_sizes: np.ndarray, b: int, q: int,
-                       n_batches: int) -> tuple[np.ndarray, np.ndarray]:
-    """W and S of :func:`_batch_axis_recalls` for every batch j (rows) and
-    every cell in ``order_sizes`` and initial consumption u in [lo, B)
-    (columns ``cell * (B - lo) + u - lo``), where ``lo = max(0, B - Q)``:
-    every smaller u puts all of the horizon in batch 0, as u = lo does.
+                       n_batches: int) -> _BatchAxis:
+    """The unfolded :class:`_BatchAxis` of every cell in ``order_sizes``:
+    W and S for every batch j (rows) and every cell and initial consumption
+    u in [lo, B) (columns ``cell * (B - lo) + u - lo``), where
+    ``lo = max(0, B - Q)``: every smaller u puts all of the horizon in
+    batch 0, as u = lo does.
 
     Batch j spans horizon units [c_j, c_j+1) with boundaries c_0 = 0 and
     ``c_j = min(B - u + (j - 1) * B, Q)`` for j >= 1. W_j runs from the start
@@ -585,13 +608,11 @@ def _batch_axis_tables(order_sizes: np.ndarray, b: int, q: int,
     end = end.reshape(n_batches + 1, -1)
     straddle = end[1:-1] - start[1:-1]
     np.subtract(end[1:], start[:-1], out=end[1:])
-    return end[1:], straddle
+    return _BatchAxis(end[1:], straddle if straddle.any() else None, 0, 0, 0)
 
 
-def _batch_axis_recalls(tables: tuple[np.ndarray, np.ndarray], b: int, q: int,
-                        cells: np.ndarray, u: np.ndarray, crisis: np.ndarray,
-                        fold: _BatchAxisFold | None = None,
-                        straddles: bool = True) -> np.ndarray:
+def _batch_axis_recalls(axis: _BatchAxis, b: int, q: int, cells: np.ndarray,
+                        u: np.ndarray, crisis: np.ndarray) -> np.ndarray:
     """Recalls reduced batch by batch, for orders no longer than batches.
 
     Every order then touches one batch or two adjacent ones, so by
@@ -600,43 +621,28 @@ def _batch_axis_recalls(tables: tuple[np.ndarray, np.ndarray], b: int, q: int,
     orders touching batch j and S_j the size of the order straddling the
     boundary between batches j and j + 1. ``u`` and ``crisis`` hold the
     columns of ``cells``, cell-major; W and S are read from the tables of
-    :func:`_batch_axis_tables` at column ``cell * (B - lo) + max(u, lo) - lo``.
-    With ``fold`` (a :class:`_BatchAxisFold`), rows 1 .. end - 1 of both
-    tables repeat with its period for every column, so a crisis flag in row
-    j weighs as much as one in row ``1 + (j - 1) % period``. The flags of
-    those rows are then counted per residue class, and the counts take the
-    place of the flags against the fold's tables, which hold row 0, one
-    period of rows and the rows from ``end`` on. The sums are the same
-    exact integers, so no recall changes; the gathers and products cover
-    ``period`` rows of the span instead of all ``end - 1``. Without
-    ``straddles`` (the caller's word that S is all zeros) the second sum,
-    its flags and its gather are skipped.
+    ``axis`` (a :class:`_BatchAxis`) at column ``cell * (B - lo) +
+    max(u, lo) - lo``. On a folded axis a crisis flag in row j of rows 1 ..
+    end - 1 weighs as much as one in row ``1 + (j - 1) % period``, so the
+    flags of those rows are counted per residue class by
+    :func:`_fold_rows`, and the counts take the place of the flags. The
+    sums are the same exact integers, so no recall changes; the gathers and
+    products cover ``period`` rows of the span instead of all ``end - 1``.
+    Without S the second sum, its flags and its gather are skipped.
     """
     lo = max(0, b - q)
     at = ((cells * (b - lo) - lo)[:, None]
           + np.maximum(u, lo).reshape(len(cells), -1)).reshape(-1)
-    both = crisis[:-1] & crisis[1:] if straddles else None
-    if fold is not None:
-        tables = fold.tables
-        crisis = _fold_rows(crisis, fold)
-        if straddles:
-            both = _fold_rows(both, fold)
-    recalls = np.einsum("ji,ji->i", crisis, np.take(tables[0], at, axis=1))
-    if straddles:
-        recalls -= np.einsum("ji,ji->i", both, np.take(tables[1], at, axis=1))
+    both = None if axis.straddle is None else crisis[:-1] & crisis[1:]
+    if axis.period:
+        crisis = _fold_rows(crisis, axis)
+        if both is not None:
+            both = _fold_rows(both, axis)
+    recalls = np.einsum("ji,ji->i", crisis, np.take(axis.touch, at, axis=1))
+    if both is not None:
+        recalls -= np.einsum("ji,ji->i", both,
+                             np.take(axis.straddle, at, axis=1))
     return recalls
-
-
-class _BatchAxisFold(NamedTuple):
-    """Rows 1 .. end - 1 of a group's W and S tables repeat with ``period``;
-    ``group`` periods at a time are added up in one row of
-    :func:`_fold_rows`. ``tables`` are W and S with only row 0, rows 1 ..
-    period and the rows from ``end`` on."""
-
-    period: int
-    group: int
-    end: int
-    tables: tuple[np.ndarray, np.ndarray]
 
 
 # Flags a row of _fold_rows' first sum holds at least (when the span has
@@ -645,12 +651,11 @@ class _BatchAxisFold(NamedTuple):
 _FOLD_WIDTH = 1 << 10
 
 
-def _batch_axis_fold(order_sizes: np.ndarray, b: int,
-                     tables: tuple[np.ndarray, np.ndarray],
-                     columns: int) -> _BatchAxisFold | None:
-    """The :class:`_BatchAxisFold` of the batch-axis ``tables`` of
-    ``order_sizes`` (see :func:`_batch_axis_tables`), for chunks of at most
-    ``columns`` columns; None when no two periods of rows repeat.
+def _batch_axis_fold(order_sizes: np.ndarray, b: int, axis: _BatchAxis,
+                     columns: int) -> _BatchAxis:
+    """``axis``, the unfolded :class:`_BatchAxis` of ``order_sizes``,
+    folded by its row period for chunks of at most ``columns`` columns, or
+    unchanged when no two periods of rows repeat.
 
     Batch j >= 1 starts at unit ``c_j = j * B - u`` (until Q cuts it), so
     each boundary lies B mod O units further into its order than the last
@@ -665,35 +670,35 @@ def _batch_axis_fold(order_sizes: np.ndarray, b: int,
     tables with themselves shifted by a period finds where that span ends,
     so the fold rests on the tables and not on this argument.
     """
-    if not len(order_sizes):
-        return None
     period = math.lcm(*(o // math.gcd(o, b) for o in order_sizes.tolist()))
-    touch, straddle = tables
-    rows = len(straddle)  # rows of both tables
+    touch, straddle = axis.touch, axis.straddle
+    rows = len(touch) - 1  # rows of both tables: S has no last row
     if rows < 1 + 2 * period:
-        return None
+        return axis
     ahead, here = slice(1 + period, rows), slice(1, rows - period)
-    differs = ((touch[ahead] != touch[here])
-               | (straddle[ahead] != straddle[here])).any(axis=1)
-    first = np.flatnonzero(differs)
+    differs = touch[ahead] != touch[here]
+    if straddle is not None:
+        differs |= straddle[ahead] != straddle[here]
+    first = np.flatnonzero(differs.any(axis=1))
     # rows 1 .. span repeat: the first row that differs from the row a
     # period later, plus that period, less one
     periods = (int(first[0]) + period if len(first) else rows - 1) // period
     if periods < 2:
-        return None
+        return axis
     group = min(periods, -(-_FOLD_WIDTH // (period * columns)))
     end = 1 + periods // group * group * period
-    head = np.arange(period + 1)
-    return _BatchAxisFold(period, group, end, tuple(
-        t[np.concatenate((head, np.arange(end, len(t))))] for t in tables))
+    keep = np.concatenate((np.arange(period + 1), np.arange(end, len(touch))))
+    return _BatchAxis(touch[keep],
+                      None if straddle is None else straddle[keep[:-1]],
+                      period, group, end)
 
 
-def _fold_rows(flags: np.ndarray, fold: _BatchAxisFold) -> np.ndarray:
-    """Flags of the rows of ``fold.tables``, in their integer type: row 0,
-    the number of flags set in each residue class of rows 1 .. end - 1, then
-    the rows from end on."""
-    period, group, end, tables = fold
-    dtype, width = tables[0].dtype, flags.shape[1]
+def _fold_rows(flags: np.ndarray, axis: _BatchAxis) -> np.ndarray:
+    """Flags of the rows of the folded ``axis``' tables, in their integer
+    type: row 0, the number of flags set in each residue class of rows 1 ..
+    end - 1, then the rows from end on."""
+    period, group, end = axis.period, axis.group, axis.end
+    dtype, width = axis.touch.dtype, flags.shape[1]
     folded = np.empty((1 + period + len(flags) - end, width), dtype=dtype)
     folded[0] = flags[0]
     counts = flags[1:end].reshape(-1, group * period * width).sum(

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from batchfrag import cli, model
+from batchfrag import cli, model, montecarlo
 from batchfrag.cli import main
 
 
@@ -114,6 +114,25 @@ class TestSimulate:
                                  "-Q", "50", "-p", "0.5", "-n", "100")
         assert (code, out) == (2, "")
         assert err.startswith("error: batch_size must be below 2**63")
+
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate 67.1 GiB for an array with shape (3, 3000000000)"
+         " and data type int64", "error: out of memory: Unable to allocate"
+         " 67.1 GiB for an array with shape (3, 3000000000) and data type"
+         " int64\n"),
+        ("", "error: out of memory\n")])
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch,
+                                             message, line):
+        """A kernel table too large for memory (67 GiB of W here) exits 1
+        with one error line and no traceback."""
+        def too_large(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(montecarlo, "_batch_axis_tables", too_large)
+        code, out, err = run_cli(capsys, "simulate", "-O", "1", "-B",
+                                 "3000000000", "-Q", "3000000000", "-p",
+                                 "0.1", "-n", "10")
+        assert (code, out, err) == (1, "", line)
 
 
 class TestSweep:

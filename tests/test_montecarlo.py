@@ -25,8 +25,9 @@ from batchfrag.montecarlo import (
     sweep,
     trial_recalls,
 )
-from batchfrag.seeding import derive_seed
-from batchfrag.simulation import TrialConfig, run_trial
+from batchfrag.seeding import derive_seed, derive_seeds
+from batchfrag.simulation import (Batch, Order, TrialConfig, fifo_assign,
+                                  measure_recall, run_trial)
 
 
 # A feasible cell, and the ModelParams field whose message each other integer
@@ -63,6 +64,20 @@ def exact_std_error(recalls):
         context.prec = 60
         return float((decimal.Decimal(n * s2 - s1 * s1)
                       / (n * n * (n - 1))).sqrt())
+
+
+def record_calls(mp, name):
+    """Patch kernel function ``name`` to record each call's (args, kwargs,
+    result) in the returned list."""
+    calls = []
+    make = getattr(montecarlo, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs, make(*args, **kwargs)))
+        return calls[-1][2]
+
+    mp.setattr(montecarlo, name, recorded)
+    return calls
 
 
 def group_recalls(orders, b, q, p, seeds, n):
@@ -220,8 +235,11 @@ class TestKernelTables:
         batch, for every initial consumption the tables cover."""
         q, order_sizes = 50, (1, 7, 50)
         n_batches = (q + 2 * b - 2) // b
-        touch, straddle = montecarlo._batch_axis_tables(
-            np.array(order_sizes), b, q, n_batches)
+        axis = montecarlo._batch_axis_tables(np.array(order_sizes), b, q,
+                                             n_batches)
+        touch, straddle = _full_tables(axis)
+        assert axis.period == 0
+        assert (axis.straddle is None) == (not straddle.any())
         lo = b - q
         for c, o in enumerate(order_sizes):
             for u in range(lo, b):
@@ -239,10 +257,17 @@ class TestKernelTables:
                 assert straddle[:, column].tolist() == s
 
 
-def _repeating_rows(tables, period):
+def _full_tables(axis):
+    """W and S of a _BatchAxis, with S's zeros where it holds None."""
+    if axis.straddle is not None:
+        return axis.touch, axis.straddle
+    return axis.touch, np.zeros_like(axis.touch[:-1])
+
+
+def _repeating_rows(axis, period):
     """Rows 1 .. span of both tables repeat with ``period``: scanned row by
     row against row 1 + (j - 1) % period."""
-    touch, straddle = tables
+    touch, straddle = _full_tables(axis)
     j = 1
     while (j < len(straddle)
            and (touch[j] == touch[1 + (j - 1) % period]).all()
@@ -252,10 +277,12 @@ def _repeating_rows(tables, period):
 
 
 def _fold_case(orders, b, q, columns):
-    tables = montecarlo._batch_axis_tables(
+    """The unfolded _BatchAxis of a group and what _batch_axis_fold makes
+    of it."""
+    axis = montecarlo._batch_axis_tables(
         np.array(orders), b, q, (q + 2 * b - 2) // b)
-    return tables, montecarlo._batch_axis_fold(np.array(orders), b, tables,
-                                               columns)
+    return axis, montecarlo._batch_axis_fold(np.array(orders), b, axis,
+                                             columns)
 
 
 class TestBatchAxisFold:
@@ -280,7 +307,8 @@ class TestBatchAxisFold:
         assert fold.group == min(periods, -(-montecarlo._FOLD_WIDTH
                                             // (fold.period * columns)))
         assert fold.end == 1 + periods // fold.group * fold.group * fold.period
-        for full, kept in zip(tables, fold.tables):
+        assert (fold.straddle is None) == (tables.straddle is None)
+        for full, kept in zip(_full_tables(tables), _full_tables(fold)):
             rows = [*range(fold.period + 1), *range(fold.end, len(full))]
             np.testing.assert_array_equal(kept, full[rows])
 
@@ -288,14 +316,17 @@ class TestBatchAxisFold:
         ((5,), 7, 60), ((7, 9, 11, 13), 20, 600), ((7,), 10**7, 50),
         ((1, 2), 20, 5)])
     def test_no_fold_without_two_periods(self, orders, b, q):
-        assert _fold_case(orders, b, q, 32)[1] is None
+        axis, fold = _fold_case(orders, b, q, 32)
+        assert fold is axis and fold.period == 0
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_folded_reduction_matches_gather_random(self, data):
         """Random crisis matrices and initial consumptions, on groups of one
         to four cells, horizons from under two periods to hundreds of them
-        and B > Q: the folded reduction equals the gathered one."""
+        and B > Q: the folded reduction equals the gathered one, and a
+        group whose S is all zeros gives the same recalls with its zeros
+        put back in."""
         b = data.draw(st.integers(1, 12), label="B")
         q = data.draw(st.one_of(st.integers(1, 3 * b), st.integers(1, 400)),
                       label="Q")
@@ -314,11 +345,14 @@ class TestBatchAxisFold:
         crisis = rng.random((rows, len(orders) * n)) < density
         u = rng.integers(0, b, len(orders) * n)
         cells = np.arange(len(orders))
-        gathered = montecarlo._batch_axis_recalls(tables, b, q, cells, u,
-                                                  crisis)
-        folded = montecarlo._batch_axis_recalls(tables, b, q, cells, u,
-                                                crisis, fold)
-        np.testing.assert_array_equal(folded, gathered)
+        cases = [(tables, fold)]
+        if tables.straddle is None:
+            cases.append(tuple(axis._replace(straddle=_full_tables(axis)[1])
+                               for axis in (tables, fold)))
+        for whole, folded in cases:
+            np.testing.assert_array_equal(
+                montecarlo._batch_axis_recalls(folded, b, q, cells, u, crisis),
+                montecarlo._batch_axis_recalls(whole, b, q, cells, u, crisis))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -340,7 +374,8 @@ class TestBatchAxisFold:
             if budget is not None:
                 mp.setattr(montecarlo, "_CHUNK_OUTPUTS", budget)
             folded = group_recalls(orders, b, q, p, seeds, n)
-            mp.setattr(montecarlo, "_batch_axis_fold", lambda *args: None)
+            mp.setattr(montecarlo, "_batch_axis_fold",
+                       lambda orders, b, axis, columns: axis)
             gathered = group_recalls(orders, b, q, p, seeds, n)
         np.testing.assert_array_equal(folded, gathered)
 
@@ -361,7 +396,7 @@ class TestBatchAxisFold:
         monkeypatch.setattr(montecarlo, "_batch_axis_fold", recorded_fold)
         params = ModelParams(o, b, q, p)
         vectorized = trial_recalls(EstimateConfig(params, 64, 9)).tolist()
-        assert folds[0] is not None
+        assert folds[0].period > 0
         for i in (0, 1, 31, 63):
             assert vectorized[i] == run_trial(
                 TrialConfig.from_seed(params, derive_seed(9, i)))
@@ -409,47 +444,154 @@ class TestExhaustiveReductions:
                 local = np.arange(len(cells))
                 folded = montecarlo._batch_axis_fold(orders[cells], b, own,
                                                      len(tiled[0]))
-                for fold in (None,) if folded is None else (None, folded):
-                    got = montecarlo._batch_axis_recalls(own, b, q, local,
-                                                         *tiled, fold)
+                axes = (own,) if folded is own else (own, folded)
+                if own.straddle is None:  # the straddle term on S's zeros
+                    axes += tuple(axis._replace(straddle=_full_tables(axis)[1])
+                                  for axis in axes)
+                for axis in axes:
+                    got = montecarlo._batch_axis_recalls(axis, b, q, local,
+                                                         *tiled)
                     np.testing.assert_array_equal(
                         got.reshape(len(cells), -1), expected[cells])
-                    if not own[1].any():
-                        got = montecarlo._batch_axis_recalls(
-                            own, b, q, local, *tiled, fold, straddles=False)
-                        np.testing.assert_array_equal(
-                            got.reshape(len(cells), -1), expected[cells])
             order_axis = montecarlo._order_axis_tables(orders[split:], b, q)
             if q > split:
                 got = montecarlo._order_axis_recalls(
                     order_axis, 0, q - split, np.tile(u, q - split),
                     np.tile(crisis, q - split))
                 np.testing.assert_array_equal(got, expected[split:])
-            straddles = bool(tables[1].any())
             for columns in (3 << rows, 1 << 20):
                 table = montecarlo._recall_table(
-                    tables, order_axis, split, q, b, q, rows, straddles,
-                    columns)
+                    tables, order_axis, split, b, q, rows, columns)
                 np.testing.assert_array_equal(table, expected.reshape(-1))
             checked += expected.size
         assert checked == 42084
 
 
+def test_object_simulator_matches_the_definition():
+    """fifo_assign and measure_recall on hand-built orders and batches, for
+    every O <= Q <= 10, B <= 4, initial consumption u and crisis pattern of
+    u's own batches, against the unit-by-unit definition (0.7 s on a
+    2-vCPU Xeon)."""
+    checked = 0
+    for q, b in itertools.product(range(1, 11), range(1, 5)):
+        rows = (q + 2 * b - 2) // b
+        horizons = [[Order(k, min(o, q - start))
+                     for k, start in enumerate(range(0, q, o))]
+                    for o in range(1, q + 1)]
+        for u in range(b):
+            batches = -(-(q + u) // b)
+            codes = np.arange(1 << batches)
+            crisis = np.zeros((rows, len(codes)), dtype=bool)
+            crisis[:batches] = (codes >> np.arange(batches)[:, None]) & 1 == 1
+            columns = np.full(len(codes), u)
+            expected = np.stack([unit_recalls(o, b, q, columns, crisis)
+                                 for o in range(1, q + 1)], axis=1)
+            got = []
+            for code in codes.tolist():
+                # fifo_assign copies the batches, so every O shares them
+                stock = [Batch(j, b, code >> j & 1 == 1, u if j == 0 else 0)
+                         for j in range(batches)]
+                got.append([measure_recall(fifo_assign(orders, stock))
+                            .recalled_quantity for orders in horizons])
+            np.testing.assert_array_equal(got, expected, err_msg=f"B={b} "
+                                          f"Q={q} u={u}, (pattern, O - 1)")
+            checked += q * len(codes)
+    assert checked == 23854
+
+
+class TestExhaustiveGroupRecalls:
+    """_group_recalls itself, with every order size of every B and Q <= 10
+    at once, on streams that give each cell every (u, crisis pattern): every
+    recall against the process's unit-by-unit definition, on the table
+    path, both reductions, chunks that cut cells and probe plans that end
+    long runs in rounds."""
+
+    # p is 1/2, so output 0 is a crisis draw and 2**64 - 1 is not
+    P = 0.5
+    NO_CRISIS = np.uint64(2**64 - 1)
+
+    @classmethod
+    def _patterned(cls, mp, orders, b, q, seeds, n):
+        """Patch stream_outputs so that trial i of cell c draws u and the
+        crisis pattern of combination ``(i + c) % (B * 2**rows)`` (u-major),
+        in every call form the kernel uses; returns the definition's
+        recall of each (cell, trial)."""
+        rows = (q + 2 * b - 2) // b
+        combo = (np.arange(n) + np.arange(len(orders))[:, None]) % (b << rows)
+        u, code = (combo >> rows).reshape(-1), (combo % (1 << rows)).reshape(-1)
+        # output 0 at the middle of u's interval of unit floats
+        first = ((2 * u + 1) << 52) // b
+        first = first.astype(np.uint64) << np.uint64(11)
+        crisis = (code >> np.arange(rows)[:, None]) & 1 == 1
+        # words[k, column]: output k of the column's (cell, trial)
+        words = np.vstack((first, np.where(crisis, np.uint64(0),
+                                           cls.NO_CRISIS)))
+        trial_seeds = derive_seeds(np.array(seeds, dtype=np.uint64)[:, None],
+                                   np.arange(n, dtype=np.uint64)).reshape(-1)
+        by_seed = np.argsort(trial_seeds)
+        known = trial_seeds[by_seed]
+        assert (np.diff(known) > 0).all()
+
+        def patterned(s, outputs):
+            at = by_seed[np.searchsorted(known, s)]
+            assert (trial_seeds[at] == s).all()
+            if isinstance(outputs, (int, np.integer)):
+                return words[:outputs, at]
+            # an index past the horizon fails here
+            return words[np.asarray(outputs).astype(np.int64), at]
+
+        mp.setattr(montecarlo, "stream_outputs", patterned)
+        expected = [unit_recalls(o, b, q, u[c * n:(c + 1) * n],
+                                 crisis[:, c * n:(c + 1) * n])
+                    for c, o in enumerate(orders)]
+        return np.array(expected)
+
+    @pytest.mark.parametrize("path", [
+        "table", "table, cells cut", "reductions", "reductions, cells cut",
+        "probe plans"])
+    def test_every_recall_matches_the_definition(self, path):
+        tables = plans = rounds = short = 0
+        for q, b in itertools.product(range(1, 11), range(1, 11)):
+            rows = (q + 2 * b - 2) // b
+            combos = b << rows
+            orders = tuple(range(1, q + 1))
+            n = 6 * combos if path.startswith("table") else combos
+            if path == "probe plans" and b > 1:
+                continue  # only B = 1 has order runs of more than 4 rows
+            seeds = [derive_seed(q, o, b) for o in orders]
+            with pytest.MonkeyPatch.context() as mp:
+                if path == "table, cells cut":
+                    # the smallest budget whose size cap admits the table
+                    mp.setattr(montecarlo, "_CHUNK_OUTPUTS", 4 * q * combos)
+                if path.startswith("reductions") or path == "probe plans":
+                    mp.setattr(montecarlo, "_TABLE_ROWS", 0)
+                if path == "reductions, cells cut":
+                    mp.setattr(montecarlo, "_CHUNK_OUTPUTS", 1 << 8)
+                if path == "probe plans":
+                    # one trial per chunk, and every plan skips more outputs
+                    mp.setattr(montecarlo, "_CHUNK_OUTPUTS", 1)
+                    mp.setattr(montecarlo, "_probe_rows", lambda p: 1)
+                calls = {name: record_calls(mp, name) for name in (
+                    "_recall_table", "_probe_plan", "_finish_long_runs",
+                    "derive_seeds")}
+                expected = self._patterned(mp, orders, b, q, seeds, n)
+                recalls = group_recalls(orders, b, q, self.P, seeds, n)
+            np.testing.assert_array_equal(recalls, expected,
+                                          err_msg=f"B={b} Q={q}")
+            if path == "table, cells cut" and rows <= 8:
+                assert len(calls["derive_seeds"]) >= 2 * q
+            tables += len(calls["_recall_table"])
+            plans += sum(plan is not None
+                         for *_, plan in calls["_probe_plan"])
+            rounds += len(calls["_finish_long_runs"])
+            short += rows <= 8
+        assert tables == (short if path.startswith("table") else 0)
+        assert (plans > 0, rounds > 0) == (path == "probe plans",) * 2
+
+
 class TestRecallTable:
     """Short horizons read each trial's recall from a table of every
     (cell, u, crisis pattern); no recall and no draw may change."""
-
-    @staticmethod
-    def _record(mp, name):
-        calls = []
-        make = getattr(montecarlo, name)
-
-        def recorded(*args, **kwargs):
-            calls.append((args, kwargs, make(*args, **kwargs)))
-            return calls[-1][2]
-
-        mp.setattr(montecarlo, name, recorded)
-        return calls
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -475,8 +617,8 @@ class TestRecallTable:
         with pytest.MonkeyPatch.context() as mp:
             if budget is not None:  # cells cut into chunks, table kept
                 mp.setattr(montecarlo, "_CHUNK_OUTPUTS", budget)
-            tables = self._record(mp, "_recall_table")
-            draws = self._record(mp, "stream_outputs")
+            tables = record_calls(mp, "_recall_table")
+            draws = record_calls(mp, "stream_outputs")
             recalls = group_recalls(orders, b, q, p, seeds, n)
             assert len(tables) == 1
             assert sum(out.size for *_, out in draws) == (
@@ -507,8 +649,8 @@ class TestRecallTable:
         table path."""
         rows = (q + 2 * b - 2) // b
         n = (montecarlo._TABLE_TRIALS * b << rows) + slack
-        tables = self._record(monkeypatch, "_recall_table")
-        plans = self._record(monkeypatch, "_probe_plan")
+        tables = record_calls(monkeypatch, "_recall_table")
+        plans = record_calls(monkeypatch, "_probe_plan")
         montecarlo._group_recalls(tuple(orders), b, q, 1.0,
                                   list(range(len(orders))), n,
                                   lambda *block: None)
@@ -521,11 +663,12 @@ class TestRecallTable:
                                                   b, q, straddles):
         """Only a group whose S table is all zeros (O = 1) skips the
         straddle term, and every batch-axis reduction of it does."""
-        calls = self._record(monkeypatch, "_batch_axis_recalls")
+        calls = record_calls(monkeypatch, "_batch_axis_recalls")
         monkeypatch.setattr(montecarlo, "_CHUNK_OUTPUTS", 1 << 11)
         recalls = group_recalls(orders, b, q, 0.3, [4] * len(orders), 300)
         assert len(calls) > 1
-        assert {kwargs["straddles"] for _, kwargs, _ in calls} == {straddles}
+        assert {args[0].straddle is not None
+                for args, _, _ in calls} == {straddles}
         for c, o in enumerate(orders):
             for i in (0, 299):
                 assert recalls[c, i] == run_trial(TrialConfig.from_seed(
@@ -656,6 +799,41 @@ class TestEarlyResolution:
         n, q = 200, 6000
         words, _ = self._words(monkeypatch, o, b, q, p, n)
         assert words == n * ((q + 2 * b - 2) // b + 1)
+
+
+class TestMonotoneInProbability:
+    """A trial's stream outputs do not depend on p and a crisis flag is
+    ``x < unit_threshold(p)``, so each trial's recall is nondecreasing in
+    p, whichever way the kernel reduces it."""
+
+    PROBS = (0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0)
+
+    @pytest.mark.parametrize("o,b,q,mechanism", [
+        (3, 4, 10, "_recall_table"), (1, 1, 600, "_batch_axis_fold"),
+        (2, 3, 600, "_batch_axis_fold"), (100, 1, 6000, "_probe_plan"),
+        (7, 3, 50, None), (40, 2, 300, None), (13, 29, 61, None)])
+    def test_trial_recalls(self, monkeypatch, o, b, q, mechanism):
+        calls = [] if mechanism is None else record_calls(monkeypatch,
+                                                         mechanism)
+        recalls = np.array([
+            trial_recalls(EstimateConfig(ModelParams(o, b, q, p), 500, 11))
+            for p in self.PROBS])
+        assert (np.diff(recalls, axis=0) >= 0).all()
+        assert recalls[0].max() == 0 and recalls[-1].min() == q
+        # a table or probe plan was built, or the tables were folded
+        assert mechanism is None or any(
+            made is not None and getattr(made, "period", 1) > 0
+            for *_, made in calls)
+
+    def test_run_trial(self):
+        for o, b, q in ((3, 4, 10), (2, 3, 60), (7, 2, 50), (1, 1, 30),
+                        (20, 3, 90)):
+            for i in range(40):
+                seed = derive_seed(5, o, b, i)
+                recalls = [run_trial(TrialConfig.from_seed(
+                    ModelParams(o, b, q, p), seed)) for p in self.PROBS]
+                assert recalls == sorted(recalls), (o, b, q, i)
+                assert recalls[0] == 0 and recalls[-1] == q
 
 
 class TestEstimateRecall:
