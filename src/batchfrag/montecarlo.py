@@ -16,9 +16,10 @@ for an order already known to be recalled, once one flag of that order
 is set, and the rest of its flags cannot change the recall. On every
 output both read, they make the same decisions: the simulator compares
 ``unit_float(x) < p``, the kernel the exactly equivalent integer test
-``x < unit_threshold(p)``, and both draw the initial consumption with the
-same float arithmetic. So they agree bit-for-bit; the test suite asserts
-that parity cell by cell.
+``x < unit_threshold(p)``, and both draw the initial consumption as the
+same once-rounded float product (``below`` and its vectorized twin
+``belows``). So they agree bit-for-bit; the test suite asserts that parity
+cell by cell.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ import numpy as np
 
 from .model import (InvalidParamsError, ModelParams, _check_grid,
                     _check_positive_int, _recall_size_surface)
-from .seeding import (derive_seed, derive_seeds, stream_outputs, unit_floats,
-                      unit_threshold)
+from .seeding import belows, derive_seeds, stream_outputs, unit_threshold
 
 __all__ = [
     "Z95",
@@ -167,7 +167,7 @@ def _cell_recalls(config: EstimateConfig, sink: Callable) -> None:
     _check_int64_horizon(params.batch_size, params.total_quantity)
     _group_recalls((params.order_size,), params.batch_size,
                    params.total_quantity, params.crisis_prob,
-                   (config.base_seed,), config.n_trials, sink)
+                   (config.base_seed % 2**64,), config.n_trials, sink)
 
 
 def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
@@ -176,10 +176,11 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     ``sink`` block by block.
 
     The cells share (B, Q, p) and differ in order size (ascending) and base
-    seed. ``sink(cell, trial, block)`` receives a (cells, trials) integer
-    block whose entry (c, i) is the recall of trial ``trial + i`` of cell
-    ``cell + c``, i.e. entry ``trial + i`` of ``trial_recalls`` of order
-    size ``order_sizes[cell + c]`` and base seed ``base_seeds[cell + c]``;
+    seed (each in [0, 2**64): ints or a uint64 array). ``sink(cell, trial,
+    block)`` receives a (cells, trials) integer block whose entry (c, i) is
+    the recall of trial ``trial + i`` of cell ``cell + c``, i.e. entry
+    ``trial + i`` of ``trial_recalls`` of order size ``order_sizes[cell +
+    c]`` and base seed ``base_seeds[cell + c]``;
     every (cell, trial) pair is handed over exactly once, and the block is
     not used after the call. Shared B and Q give every trial the same
     horizon, so all trials of the group are evaluated on output-major
@@ -200,12 +201,12 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     the tables are folded when their rows repeat. They repeat with the lcm
     of the cells' periods ``O / gcd(O, B)`` from row 1 until the end of the
     horizon or the last order changes them; :func:`_batch_axis_fold` reads
-    off that span with one comparison of the tables against themselves a
-    period later. Where it holds at least two periods, every chunk counts
-    its crisis flags per residue class over the span and weighs the counts
-    by one period of rows, which adds up the same integers as weighing
-    every flag by its own row, so the recalls are unchanged. Other calls
-    weigh every flag by its own row.
+    off that span with one comparison of W against itself a period later
+    (S repeats wherever W does). Where it holds at least two periods, every
+    chunk counts its crisis flags per residue class over the span and
+    weighs the counts by one period of rows, which adds up the same
+    integers as weighing every flag by its own row, so the recalls are
+    unchanged. Other calls weigh every flag by its own row.
 
     On a short horizon (at most ``_TABLE_ROWS`` batches) with enough trials
     per cell, neither reduction runs per chunk: :func:`_recall_table` runs
@@ -235,8 +236,10 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     # widest horizon over all initial consumptions: ceil((q + b - 1) / b)
     n_batches = (q + 2 * b - 2) // b
     threshold = unit_threshold(p)
+    # None when p == 1: every output is below 2**64
+    limit = np.uint64(threshold) if threshold < 1 << 64 else None
     orders = np.array(order_sizes, dtype=np.int64)
-    bases = np.array([s % 2**64 for s in base_seeds], dtype=np.uint64)
+    bases = np.asarray(base_seeds, dtype=np.uint64)
     split = int(np.searchsorted(orders, b, side="right"))
     # W and S have min(B, Q) columns even for no cell, so skip them then
     batch_axis = (_batch_axis_tables(orders[:split], b, q, n_batches)
@@ -257,6 +260,7 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
         table = _recall_table(batch_axis, order_axis, split, b, q, n_batches,
                               columns)
         weights = (1 << np.arange(n_batches)).astype(np.uint8)
+        offsets = np.arange(0, len(orders) * b, b)[:, None]  # cell * B
         axes = ((0, len(orders)),)  # one lookup reduces both axes
     else:
         if split:
@@ -284,17 +288,17 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
                 trials = np.arange(t0, min(n, t0 + width), dtype=np.uint64)
                 seeds = derive_seeds(bases[c0:c1, None], trials)
                 x = stream_outputs(seeds.reshape(-1), outputs)
-                u = np.minimum((unit_floats(x[0]) * b).astype(np.int64), b - 1)
-                if threshold == 1 << 64:  # p == 1: every output is below it
+                u = belows(x[0], b)
+                if limit is None:
                     crisis = np.ones((len(x) - 1, x.shape[1]), dtype=bool)
                 else:
-                    crisis = x[1:] < np.uint64(threshold)
+                    crisis = x[1:] < limit
                 del x
                 if table is not None:
                     # (cell * B + u) * 2**rows + the pattern's code, in u's
                     # place
                     at = u.reshape(c1 - c0, -1)
-                    at += np.arange(c0 * b, c1 * b, b)[:, None]
+                    at += offsets[c0:c1]
                     at <<= n_batches
                     at += np.einsum("j,ji->i", weights, crisis.view(np.uint8)
                                     ).reshape(c1 - c0, -1)
@@ -666,19 +670,30 @@ def _batch_axis_fold(order_sizes: np.ndarray, b: int, axis: _BatchAxis,
     ``O / gcd(O, B)`` batches (every batch when O divides B). A group's
     tables repeat with the lcm of its cells' periods, from row 1 (row 0
     starts at unit 0, not at -u) until the rows that the last, possibly
-    short, order or the end of the horizon changes. One comparison of the
-    tables with themselves shifted by a period finds where that span ends,
-    so the fold rests on the tables and not on this argument.
+    short, order or the end of the horizon changes. One comparison of W
+    with itself shifted by a period finds where that span ends, so the fold
+    rests on the table and not on this argument.
+
+    S repeats wherever W does, so it is not compared. With ``start(c)``
+    the first unit of the order holding unit c (Q at c = Q) and ``end(c)``
+    the end of the order holding unit c - 1, ``W_j = end(c_j+1) -
+    start(c_j)`` and ``S_j = end(c_j+1) - start(c_j+1)``, so ``W_j - S_j =
+    start(c_j+1) - start(c_j)``. Compare row j with row j - P, j - P >= 1,
+    in one column. While c_j+1 < Q, that difference is ``B - r_j+1 + r_j``
+    with r the boundaries' residues modulo O, the same in both rows, so W
+    and S match together. Once c_j+1 = Q, S_j = 0 and ``W_j = Q -
+    start(c_j)``; if c_j < Q too, ``start(c_j) = start(c_j-P) + P * B``,
+    so ``W_j = W_j-P`` means ``end(c_j+1-P) = Q - P * B``, at most
+    c_j+1-P. As ``end(c) >= c``, that is ``end(c_j+1-P) = c_j+1-P``: c_j+1-P
+    is Q or a multiple of O, and S_j-P = 0 as well. If c_j = Q, W_j = 0,
+    and W_j-P is 0 only when c_j-P = Q, where S_j-P = 0.
     """
     period = math.lcm(*(o // math.gcd(o, b) for o in order_sizes.tolist()))
     touch, straddle = axis.touch, axis.straddle
     rows = len(touch) - 1  # rows of both tables: S has no last row
     if rows < 1 + 2 * period:
         return axis
-    ahead, here = slice(1 + period, rows), slice(1, rows - period)
-    differs = touch[ahead] != touch[here]
-    if straddle is not None:
-        differs |= straddle[ahead] != straddle[here]
+    differs = touch[1 + period:rows] != touch[1:rows - period]
     first = np.flatnonzero(differs.any(axis=1))
     # rows 1 .. span repeat: the first row that differs from the row a
     # period later, plus that period, less one
@@ -836,6 +851,10 @@ def _sweep(q: int, p: float, orders: tuple[int, ...],
     _check_int64_horizon(batches[-1], q)
     sim_mean = np.empty_like(analytic)
     std_error = np.empty_like(analytic)
+    # cell (o, b) is seeded derive_seed(seed, o, b): one derive_seeds call
+    # per component, on every order size at once
+    by_order = derive_seeds(np.array([seed % 2**64], dtype=np.uint64),
+                            np.array(orders, dtype=np.uint64))
     for j, b in enumerate(batches):
         # a cell brings W and S tables of (n_batches + 1) * min(B, Q) words
         # each on the batch axis; its trials are summed as they are drawn
@@ -844,7 +863,7 @@ def _sweep(q: int, p: float, orders: tuple[int, ...],
         for i in range(0, len(orders), step):
             cells = orders[i:i + step]
             sums = _TrialSums(len(cells), q)
-            seeds = [derive_seed(seed, o, b) for o in cells]
+            seeds = derive_seeds(by_order[i:i + step], np.uint64(b))
             _group_recalls(cells, b, q, p, seeds, n, sums.add)
             _, sim_mean[i:i + step, j], std_error[i:i + step, j] = (
                 sums.summary(n))

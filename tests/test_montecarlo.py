@@ -312,6 +312,31 @@ class TestBatchAxisFold:
             rows = [*range(fold.period + 1), *range(fold.end, len(full))]
             np.testing.assert_array_equal(kept, full[rows])
 
+    def test_folded_rows_repeat_in_both_tables(self):
+        """Every single cell and every group of the order sizes 1 .. k with
+        B <= 10, Q <= 60 and O <= B: rows 1 .. end - 1 of the unfolded W
+        and S repeat with the fold's period, though the fold looks for the
+        span in W alone, and the folded tables keep the rows around it."""
+        folds = 0
+        for b, q in itertools.product(range(1, 11), range(1, 61)):
+            top = min(b, q)
+            groups = [(o,) for o in range(1, top + 1)]
+            groups += [tuple(range(1, k + 1)) for k in range(2, top + 1)]
+            for orders in groups:
+                tables, fold = _fold_case(orders, b, q, 1)
+                if not fold.period:
+                    continue
+                folds += 1
+                period, end = fold.period, fold.end
+                for full, kept in zip(_full_tables(tables),
+                                      _full_tables(fold)):
+                    span = full[1:end].reshape(-1, period, full.shape[1])
+                    assert (span == full[1:period + 1]).all(), (orders, b, q)
+                    np.testing.assert_array_equal(
+                        kept, full[[*range(period + 1),
+                                    *range(end, len(full))]])
+        assert folds > 1000
+
     @pytest.mark.parametrize("orders,b,q", [
         ((5,), 7, 60), ((7, 9, 11, 13), 20, 600), ((7,), 10**7, 50),
         ((1, 2), 20, 5)])
@@ -1067,6 +1092,25 @@ class TestSweep:
             [[e.mean_recall for e in row] for row in cells]))
         assert np.array_equal(grid.std_error, np.array(
             [[e.std_error for e in row] for row in cells]))
+
+    @pytest.mark.parametrize("seed", [-1, -2**70 - 3, 0, 2**64, 2**64 + 9,
+                                      3**50])
+    def test_group_seeds_are_the_cells_derived_seeds(self, monkeypatch,
+                                                     seed):
+        """Each cell's base seed is derive_seed(seed, o, b), for seeds out
+        of uint64 range and o and b up to 2**63 - 1 (the kernel is not run:
+        no horizon has such sizes)."""
+        orders = (1, 2, 5, 2**32 + 1, 2**62, 2**63 - 1)
+        batches = (1, 7, 2**40, 2**63 - 2)
+        calls = []
+        monkeypatch.setattr(montecarlo, "_group_recalls",
+                            lambda cells, b, q, p, seeds, n, sink:
+                            calls.append((cells, b, seeds)))
+        montecarlo._sweep(1, 0.5, orders, batches, 3, seed, True)
+        assert [b for _, b, _ in calls] == list(batches)
+        for cells, b, seeds in calls:
+            assert cells == orders and seeds.dtype == np.uint64
+            assert seeds.tolist() == [derive_seed(seed, o, b) for o in cells]
 
     @pytest.mark.parametrize("b", [2**63 - 50, 2**64 + 5])
     def test_rejects_batch_size_beyond_int64_only_when_simulating(self, b):

@@ -8,13 +8,13 @@ from hypothesis import given, strategies as st
 
 from batchfrag.seeding import (
     below,
+    belows,
     derive_seed,
     derive_seeds,
     mix64,
     stream_output,
     stream_outputs,
     unit_float,
-    unit_floats,
     unit_threshold,
 )
 
@@ -132,11 +132,6 @@ class TestUnitFloat:
         assert unit_float(0) == 0.0
         assert unit_float(2**64 - 1) < 1.0
 
-    def test_vectorized_matches_scalar(self):
-        xs = np.array([0, 1 << 11, 2**64 - 1, 2**63], dtype=np.uint64)
-        vec = unit_floats(xs)
-        assert vec.tolist() == [unit_float(int(x)) for x in xs.tolist()]
-
     @given(st.one_of(st.sampled_from([0.0, 1.0, 0.5, 2.0**-53]),
                      st.integers(0, 2**53).map(lambda k: k * 2.0**-53),
                      st.floats(0.0, 1.0)))
@@ -160,6 +155,25 @@ class TestUnitFloat:
            st.integers(min_value=1, max_value=10**6))
     def test_below_in_range(self, x, n):
         assert 0 <= below(x, n) < n
+
+    @given(st.one_of(st.sampled_from([1, 2, 3, 7, 100, 2**31, 2**53 - 1,
+                                      2**53 + 1, 2**62, 2**63 - 51]),
+                     st.integers(1, 2**63 - 1)),
+           st.lists(st.tuples(st.integers(0, 2**64 - 1),
+                              st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=1, max_size=20))
+    def test_vectorized_below_matches_scalar(self, n, picks):
+        """belows equals below element by element at 0, 2**64 - 1 and on
+        both sides of u boundaries ``((k << 53) // n) << 11``, a few ulp
+        (units of 2**11) and a few units off."""
+        xs = [0, 2**64 - 1]
+        for r, ulps, units in picks:
+            k = r % n
+            x = (((k << 53) // n) << 11) + (ulps << 11) + units
+            xs.append(min(max(x, 0), 2**64 - 1))
+        vec = belows(np.array(xs, dtype=np.uint64), n)
+        assert vec.dtype == np.int64
+        assert vec.tolist() == [below(x, n) for x in xs]
 
 
 def test_mix64_is_a_bijection_sample():
