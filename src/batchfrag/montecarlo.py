@@ -63,14 +63,17 @@ _CHUNK_OUTPUTS = 1 << 17
 # at most _TABLE_ROWS batches (a crisis pattern's code then fits a uint8),
 # each cell has at least _TABLE_TRIALS trials per table entry of its own
 # (B * 2**rows of them), and the table has at most _CHUNK_OUTPUTS // 4
-# entries. An entry costs about what a trial's reduction costs (measured on
-# a 2-vCPU Xeon): at one trial per entry validate's groups of B >= 13 ran
-# 8% slower at 300 trials than without a table, and at two or four no
-# slower; at 1,000 trials two was 4% faster than four. Without the size
-# cap, validate's tables for B = 7 .. 12 (up to 89,600 entries) raised its
-# peak RSS by 0.5 MiB.
+# entries. An entry takes a few integer adds to build, far less than a
+# trial's reduction (validate's 89 tables build in about 0.28 of the time
+# that running the reductions over a column per entry took).
+# Measured on a 2-vCPU Xeon (medians of 9 interleaved validate sweeps), the
+# groups that one trial per entry puts on the table and two would not ran
+# 13-23% faster on it at 300 trials (B = 17 .. 75) and 27% faster at 1,000
+# (B = 10 and 16); at 10,000 trials the size cap alone decides. The cap
+# leaves out validate's B = 7 .. 9, 11 and 12, whose tables (up to 89,600
+# entries) raised its peak RSS by 0.5 MiB.
 _TABLE_ROWS = 8
-_TABLE_TRIALS = 2
+_TABLE_TRIALS = 1
 
 
 @dataclass(frozen=True)
@@ -209,13 +212,15 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     unchanged. Other calls weigh every flag by its own row.
 
     On a short horizon (at most ``_TABLE_ROWS`` batches) with enough trials
-    per cell, neither reduction runs per chunk: :func:`_recall_table` runs
-    them once per call over a column for every (cell, u, crisis pattern),
+    per cell, neither reduction runs per chunk: :func:`_recall_table`
+    builds the recall of every (cell, u, crisis pattern) once per call,
+    from the same W/S and order tables by pattern doubling and subset sums,
     and each trial's recall is the table entry at ``(cell * B + u) *
     2**rows + code``, with ``code = sum_j crisis_j * 2**j`` taken by one
-    einsum over the flags' bytes. Every row is still drawn and the entries
-    are the reductions' own integers, so draws and recalls are unchanged;
-    such calls build no fold and no probe plan.
+    einsum over the flags' bytes. Every row is still drawn, and an entry
+    adds up the same integers as the reduction of its column (the same
+    W_j and S_j, or the same order sizes), so draws and recalls are
+    unchanged; such calls build no fold and no probe plan.
 
     Columns are processed in chunks with a working set of about
     ``_CHUNK_OUTPUTS`` words (more on horizons past 4096 batches): whole
@@ -257,8 +262,7 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     table = None
     if (n_batches <= _TABLE_ROWS and _TABLE_TRIALS * b << n_batches <= n
             and len(orders) * b << n_batches <= _CHUNK_OUTPUTS // 4):
-        table = _recall_table(batch_axis, order_axis, split, b, q, n_batches,
-                              columns)
+        table = _recall_table(batch_axis, order_axis, split, b, q, n_batches)
         weights = (1 << np.arange(n_batches)).astype(np.uint8)
         offsets = np.arange(0, len(orders) * b, b)[:, None]  # cell * B
         axes = ((0, len(orders)),)  # one lookup reduces both axes
@@ -316,41 +320,74 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
 
 
 def _recall_table(batch_axis: _BatchAxis | None, order_axis: _OrderAxis,
-                  split: int, b: int, q: int, rows: int,
-                  columns: int) -> np.ndarray:
+                  split: int, b: int, q: int, rows: int) -> np.ndarray:
     """Recall of every (cell, initial consumption u, crisis pattern) of a
     group whose horizon has ``rows`` batches, entry ``(cell * B + u) *
     2**rows + code`` with ``code = sum_j crisis_j * 2**j``.
 
-    The entries are the recalls of :func:`_batch_axis_recalls` (cells below
-    ``split``, on the unfolded ``batch_axis``) and
-    :func:`_order_axis_recalls` on synthetic columns, one for each u in
-    [0, B) and each pattern, taken in slices of at most ``columns`` columns
-    (or one cell's u values, whole patterns) so the build's working set is
-    a chunk's.
+    Every entry is built from the call's own tables with integer adds in
+    the table's type, code-major (a row of all (cell, u) columns per code,
+    so each pass runs along whole rows), then laid out by one transposed
+    copy:
+
+    * A batch-axis cell (below ``split``) recalls ``sum_j crisis_j * W_j -
+      sum_j crisis_j * crisis_j+1 * S_j`` (see :func:`_batch_axis_recalls`),
+      with W and S read from the unfolded ``batch_axis`` at ``max(u, lo) -
+      lo``. Setting flag j in a code c < 2**j adds W_j, less S_j-1 when flag
+      j - 1 is set, as it is in the upper half of [0, 2**j). So the codes
+      double bit by bit from T[0] = 0: ``T[c + 2**j] = T[c] + W_j - S_j-1 *
+      bit_j-1(c)``.
+    * An order-axis cell recalls the size s_k of each order k whose rows
+      m_k(u) meet the code: its run [head + 1, stop), its head row iff u <
+      head_lim and its tail row iff u >= tail_lim (see
+      :func:`_order_axis_recalls`). With F(x) the total size of the orders
+      whose rows lie within x (the subset sums of the sizes by mask), that
+      is ``Q - F(~code)``, since a cell's orders add up to Q. The build
+      puts -s_k at code ~m_k(u) and Q at the all-ones code, and one pass per
+      bit adds each code's entry to the same code without that bit; every
+      code then holds the sum over its supersets, ``Q - F(~code)``.
+
+    Every partial sum is a recall plus one W_j, or Q less some of a cell's
+    order sizes, so it is at most 2Q in magnitude, exact in the table's
+    type. Beyond the table, the build holds the same table code-major and
+    a few words per (order, u) pair of the order-axis cells.
     """
     cells = split + len(order_axis.first) - 1
-    patterns = 1 << rows
-    table = np.empty((cells, b << rows), dtype=_sum_type(q))
-    # bit j of every pattern's code, for one u
-    flags = (np.arange(patterns) >> np.arange(rows)[:, None]) & 1 == 1
-    width = min(b, max(1, columns >> rows))  # u values per slice
-    step = max(1, columns // (width << rows))  # cells per slice
-    for first, last in ((0, split), (split, cells)):
-        for c0 in range(first, last, step):
-            c1 = min(last, c0 + step)
-            for u0 in range(0, b, width):
-                u1 = min(b, u0 + width)
-                u = np.tile(np.repeat(np.arange(u0, u1), patterns), c1 - c0)
-                crisis = np.tile(flags, (c1 - c0) * (u1 - u0))
-                if c1 <= split:
-                    recalls = _batch_axis_recalls(
-                        batch_axis, b, q, np.arange(c0, c1), u, crisis)
-                else:
-                    recalls = _order_axis_recalls(
-                        order_axis, c0 - split, c1 - split, u, crisis)
-                table[c0:c1, u0 << rows:u1 << rows] = recalls.reshape(
-                    c1 - c0, -1)
+    patterns, width = 1 << rows, cells * b
+    dtype = _sum_type(q)
+    built = np.zeros((patterns, width), dtype=dtype)
+    if split:
+        lo = max(0, b - q)
+        by_u = built[:, :split * b].reshape(patterns, split, b)
+        own = by_u[:, :, lo:]  # every u >= lo; smaller u repeat u = lo
+        touch = batch_axis.touch.reshape(rows, split, b - lo)
+        straddle = batch_axis.straddle
+        for j in range(rows):
+            half = 1 << j
+            upper = own[half:2 * half]
+            np.add(own[:half], touch[j], out=upper)
+            if j and straddle is not None:
+                upper[half >> 1:] -= straddle[j - 1].reshape(split, b - lo)
+        by_u[:, :, :lo] = by_u[:, :, lo:lo + 1]
+    if cells > split:
+        sizes, cell, _, head, tail, stop, head_lim, tail_lim = order_axis
+        u = np.arange(b)
+        # m_k(u), then the flat index of (~m_k(u), cell, u)
+        at = (u < head_lim[:, None]) << head[:, None]
+        at |= (u >= tail_lim[:, None]) << tail[:, None]
+        at |= ((1 << stop) - (2 << head))[:, None]
+        np.subtract(patterns - 1, at, out=at)
+        at *= width
+        at += ((cell + split) * b)[:, None]
+        at += u
+        np.add.at(built.reshape(-1), at, -sizes.astype(dtype)[:, None])
+        built[-1, split * b:] = q  # a cell's orders add up to Q
+        sums = built[:, split * b:]
+        for j in range(rows):
+            pairs = sums.reshape(patterns >> (j + 1), 2, 1 << j, -1)
+            pairs[:, 0] += pairs[:, 1]
+    table = np.empty((width, patterns), dtype=dtype)
+    table.T[...] = built
     return table.reshape(-1)
 
 

@@ -536,6 +536,39 @@ class TestDeterminismGuard:
                 "652864156ce97a210beb05f6b8dcba2209ae38dcbfe7a788120ad2a33af47a0c",
         }
 
+    def test_recall_table_family_digests(self, capsys, tmp_path, monkeypatch):
+        """Sweeps that read every recall from the table of every (cell, u,
+        crisis pattern), on both axes and up to 8 rows (B = 6), at p = 0, 1
+        and between; the digests were recorded before the table was built
+        from the W/S and order tables."""
+        monkeypatch.chdir(tmp_path)
+        make = montecarlo._recall_table
+        rows = []
+
+        def recorded(*args):
+            rows.append(args[-1])
+            return make(*args)
+
+        monkeypatch.setattr(montecarlo, "_recall_table", recorded)
+        code, out, _ = run_cli(
+            capsys, "sweep", "-Q", "40", "--crisis-probs", "0,0.3,1",
+            "--order-range", "1:20", "--batch-range", "6:60", "-n", "4000",
+            "--seed", "4", "--out", "out.csv")
+        assert code == 0
+        assert len(rows) == 3 * 55 and max(rows) == 8
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fa46059790cf11c4a80acf3bdd6a1320765df5c4e442ea95ee334a0ee51ebc6c")
+        files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in tmp_path.iterdir()}
+        assert files == {
+            "out_p0.csv":
+                "53f5cb56f2d825718a517cbd1cc1ca8c4864d37c09334f1fbe50fc6917260374",
+            "out_p0.3.csv":
+                "4c40ad9cf6fa58946cb90296bc61a6efefc347af74ef0599f7f0b6f68e731e70",
+            "out_p1.csv":
+                "37dffdc01f8f7fc59e1165554d9405beb4ec7f8e5734ff70137f9aa94526b2fa",
+        }
+
 
 class TestFragments:
     def test_single_row_curve(self, capsys, tmp_path):

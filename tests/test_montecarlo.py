@@ -163,6 +163,31 @@ class TestTrialRecalls:
         assert vectorized == direct
         assert 0 < min(direct) < max(direct) < q
 
+    def test_adjacent_seeds_share_all_but_one_trial(self):
+        """Trial i of seed 1 is trial i + 1 of seed 0: derive_seed mixes the
+        sum of the base seed and the trial index."""
+        params = ModelParams(10, 4, 50, 0.15)
+        r0 = trial_recalls(EstimateConfig(params, 300, 0))
+        r1 = trial_recalls(EstimateConfig(params, 300, 1))
+        np.testing.assert_array_equal(r1[:-1], r0[1:])
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 30, -7])
+    def test_runs_share_trials_unless_seeds_differ_by_n(self, seed):
+        """Runs of n trials at seeds s and s + d share n - d trial seeds
+        while d < n: none at d = n, and at d = n - 1 only trial n - 1 of s,
+        which is trial 0 of s + n - 1."""
+        n, params = 50, ModelParams(7, 3, 50, 0.2)
+
+        def trial_seeds(s):
+            return {derive_seed(s, i) for i in range(n)}
+
+        assert not trial_seeds(seed) & trial_seeds(seed + n)
+        assert trial_seeds(seed) & trial_seeds(seed + n - 1) == {
+            derive_seed(seed, n - 1)}
+        first = trial_recalls(EstimateConfig(params, n, seed))
+        later = trial_recalls(EstimateConfig(params, n, seed + n - 1))
+        assert later[0] == first[-1]
+
     def test_memory_bounded_at_large_quantity(self):
         """Trials are processed in chunks, so the working set does not grow
         with n_trials * Q (unchunked this cell would need about 8 GB)."""
@@ -484,10 +509,9 @@ class TestExhaustiveReductions:
                     order_axis, 0, q - split, np.tile(u, q - split),
                     np.tile(crisis, q - split))
                 np.testing.assert_array_equal(got, expected[split:])
-            for columns in (3 << rows, 1 << 20):
-                table = montecarlo._recall_table(
-                    tables, order_axis, split, b, q, rows, columns)
-                np.testing.assert_array_equal(table, expected.reshape(-1))
+            table = montecarlo._recall_table(tables, order_axis, split, b, q,
+                                             rows)
+            np.testing.assert_array_equal(table, expected.reshape(-1))
             checked += expected.size
         assert checked == 42084
 
@@ -614,6 +638,82 @@ class TestExhaustiveGroupRecalls:
         assert (plans > 0, rounds > 0) == (path == "probe plans",) * 2
 
 
+def reference_recall_table(batch_axis, order_axis, split, b, q, rows,
+                           columns):
+    """_recall_table through the reductions: _batch_axis_recalls and
+    _order_axis_recalls over a synthetic column for each (cell, u, crisis
+    pattern), in slices of at most ``columns`` columns (or one cell's u
+    values, whole patterns) so that its working set is a chunk's."""
+    cells = split + len(order_axis.first) - 1
+    patterns = 1 << rows
+    table = np.empty((cells, b << rows), dtype=montecarlo._sum_type(q))
+    flags = (np.arange(patterns) >> np.arange(rows)[:, None]) & 1 == 1
+    width = min(b, max(1, columns >> rows))  # u values per slice
+    step = max(1, columns // (width << rows))  # cells per slice
+    for first, last in ((0, split), (split, cells)):
+        for c0 in range(first, last, step):
+            c1 = min(last, c0 + step)
+            for u0 in range(0, b, width):
+                u1 = min(b, u0 + width)
+                u = np.tile(np.repeat(np.arange(u0, u1), patterns), c1 - c0)
+                crisis = np.tile(flags, (c1 - c0) * (u1 - u0))
+                if c1 <= split:
+                    recalls = montecarlo._batch_axis_recalls(
+                        batch_axis, b, q, np.arange(c0, c1), u, crisis)
+                else:
+                    recalls = montecarlo._order_axis_recalls(
+                        order_axis, c0 - split, c1 - split, u, crisis)
+                table[c0:c1, u0 << rows:u1 << rows] = recalls.reshape(
+                    c1 - c0, -1)
+    return table.reshape(-1)
+
+
+def recall_table_args(orders, b, q):
+    """The arguments _group_recalls passes _recall_table for a group."""
+    rows = (q + 2 * b - 2) // b
+    orders = np.array(orders, dtype=np.int64)
+    split = int(np.searchsorted(orders, b, side="right"))
+    batch_axis = (montecarlo._batch_axis_tables(orders[:split], b, q, rows)
+                  if split else None)
+    return (batch_axis, montecarlo._order_axis_tables(orders[split:], b, q),
+            split, b, q, rows)
+
+
+def traced_peak(build, *args):
+    """``build(*args)`` and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _gate_extremes():
+    """Groups at the limits of the table path, for rows 1 .. 8: one cell at
+    the largest B the 2**15-entry cap admits, on the batch axis at O = 1
+    (no S table) and at O = 7, and on the order axis at O = Q; and 16 cells
+    over both axes at the largest B that admits them. Q is the least or the
+    largest that gives the rows; at the largest, Q = (rows - 1) * B + 1,
+    every order-axis cell's last order ends on a batch boundary, so its
+    tail row is clamped to the horizon."""
+    cap = montecarlo._CHUNK_OUTPUTS // 4
+    for rows in range(1, 9):
+        one, many = cap >> rows, cap >> (rows + 4)
+        for q in sorted({max(1, (rows - 2) * one + 2), (rows - 1) * one + 1}):
+            yield (1,), one, q
+            if q >= 7:
+                yield (7,), one, q
+            if q > one:
+                yield (q,), one, q
+        for q in sorted({max(1, (rows - 2) * many + 2),
+                         (rows - 1) * many + 1}):
+            orders = np.unique(np.linspace(1, q, 16).astype(int))
+            if len(orders) > 1:
+                yield tuple(orders.tolist()), many, q
+
+
 class TestRecallTable:
     """Short horizons read each trial's recall from a table of every
     (cell, u, crisis pattern); no recall and no draw may change."""
@@ -658,6 +758,39 @@ class TestRecallTable:
             for i in sample:
                 assert recalls[c, i] == run_trial(TrialConfig.from_seed(
                     ModelParams(o, b, q, p), derive_seed(cell_seed, i)))
+
+    @pytest.mark.parametrize("orders,b,q", list(_gate_extremes()))
+    def test_matches_the_reductions_at_the_gate_extremes(self, orders, b, q):
+        """Every entry equals the reductions' recall of its column, and the
+        build needs no more memory than going through the reductions in
+        chunk-sized slices."""
+        args = recall_table_args(orders, b, q)
+        rows = args[-1]
+        assert rows <= montecarlo._TABLE_ROWS
+        assert len(orders) * b << rows <= montecarlo._CHUNK_OUTPUTS // 4
+        columns = max(1, montecarlo._CHUNK_OUTPUTS // (rows + 11))
+        expected, reference_peak = traced_peak(reference_recall_table, *args,
+                                               columns)
+        table, peak = traced_peak(montecarlo._recall_table, *args)
+        assert table.dtype == expected.dtype
+        np.testing.assert_array_equal(table, expected)
+        assert peak <= reference_peak
+
+    def test_gate_extremes_cover_both_axes_and_clamped_tails(self):
+        """The cases above reach every row count, both axes, the group
+        without an S table, and order-axis cells with a clamped tail."""
+        seen = set()
+        for orders, b, q in _gate_extremes():
+            batch_axis, order_axis, split, _, _, rows = recall_table_args(
+                orders, b, q)
+            seen.add(("rows", rows))
+            if split:
+                seen.add(("S", batch_axis.straddle is not None))
+            if split < len(orders):
+                seen.add(("clamped", bool(
+                    (order_axis.tail < order_axis.stop).any())))
+        assert seen == {("rows", r) for r in range(1, 9)} | {
+            ("S", True), ("S", False), ("clamped", True), ("clamped", False)}
 
     @pytest.mark.parametrize("orders,b,q,slack,used,probed", [
         ((1, 5), 4, 20, 0, True, False),          # 6 rows
@@ -1111,6 +1244,34 @@ class TestSweep:
         for cells, b, seeds in calls:
             assert cells == orders and seeds.dtype == np.uint64
             assert seeds.tolist() == [derive_seed(seed, o, b) for o in cells]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 2, -5])
+    def test_sweeps_share_cells_unless_seeds_differ_by_the_order_span(
+            self, monkeypatch, seed):
+        """Cell (o, b) at seed s + d has the streams of cell (o + d, b) at
+        s, so sweeps over orders [o1, o2] share cell streams unless their
+        seeds differ by more than o2 - o1: at d = o2 - o1 only cell (o1, b)
+        repeats, the streams of (o2, b), and at d = o2 - o1 + 1 none does."""
+        orders, batches = (3, 4, 5, 6, 7), (1, 4, 9)
+        span = orders[-1] - orders[0]
+        calls = []
+        monkeypatch.setattr(montecarlo, "_group_recalls",
+                            lambda cells, b, q, p, seeds, n, sink:
+                            calls.append((b, seeds.tolist())))
+
+        def cell_seeds(s):
+            calls.clear()
+            montecarlo._sweep(50, 0.5, orders, batches, 3, s, True)
+            return {(o, b): cell for b, seeds in calls
+                    for o, cell in zip(orders, seeds)}
+
+        base = cell_seeds(seed)
+        near, far = cell_seeds(seed + span), cell_seeds(seed + span + 1)
+        assert not set(base.values()) & set(far.values())
+        assert {key for key, cell in near.items()
+                if cell in set(base.values())} == {(3, b) for b in batches}
+        for b in batches:
+            assert near[3, b] == base[7, b]
 
     @pytest.mark.parametrize("b", [2**63 - 50, 2**64 + 5])
     def test_rejects_batch_size_beyond_int64_only_when_simulating(self, b):

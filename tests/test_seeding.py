@@ -115,6 +115,22 @@ class TestDeriveSeed:
         vec = derive_seeds(np.array([base], dtype=np.uint64), idx)
         assert vec.tolist() == [derive_seed(base, i) for i in range(50)]
 
+    @given(st.integers(-2**65, 2**65), st.integers(-2**65, 2**65),
+           st.integers(0, 2**64 - 1))
+    def test_base_and_first_component_act_through_their_sum(self, s, c, b):
+        """derive_seed(s, c) mixes (s + c) mod 2**64, so a unit moved from
+        the component to the base leaves it unchanged, across the wrap
+        at 2**64 as well; a second component follows the first's seed."""
+        assert derive_seed(s, c) == derive_seed(s + 1, c - 1)
+        assert derive_seed(s, c, b) == derive_seed(s + 1, c - 1, b)
+
+    def test_base_and_component_wrap_at_64_bits(self):
+        assert derive_seed(2**64 - 1, 5) == derive_seed(0, 4)
+        assert derive_seed(2**64 - 1, 5) == derive_seed(2**64, 4)
+        assert derive_seed(3, 0) == derive_seed(4, -1)
+        assert derive_seed(4, -1) == derive_seed(4, 2**64 - 1)
+        assert derive_seed(3, 0) != derive_seed(3, 1)
+
     @given(st.integers(min_value=0, max_value=2**64 - 1),
            st.lists(st.integers(min_value=0, max_value=2**64 - 1),
                     min_size=0, max_size=5))
