@@ -61,19 +61,17 @@ _CHUNK_OUTPUTS = 1 << 17
 
 # A kernel call reads its recalls from a _recall_table when the horizon has
 # at most _TABLE_ROWS batches (a crisis pattern's code then fits a uint8),
-# each cell has at least _TABLE_TRIALS trials per table entry of its own
-# (B * 2**rows of them), and the table has at most _CHUNK_OUTPUTS // 4
-# entries. An entry takes a few integer adds to build, far less than a
-# trial's reduction (validate's 89 tables build in about 0.28 of the time
-# that running the reductions over a column per entry took).
-# Measured on a 2-vCPU Xeon (medians of 9 interleaved validate sweeps), the
-# groups that one trial per entry puts on the table and two would not ran
-# 13-23% faster on it at 300 trials (B = 17 .. 75) and 27% faster at 1,000
-# (B = 10 and 16); at 10,000 trials the size cap alone decides. The cap
-# leaves out validate's B = 7 .. 9, 11 and 12, whose tables (up to 89,600
-# entries) raised its peak RSS by 0.5 MiB.
+# each cell has at least one trial per table entry of its own (B * 2**rows
+# of them), and the table has at most _CHUNK_OUTPUTS // 4 entries. An entry
+# takes a few integer adds to build, far less than a trial's reduction
+# (validate's 89 tables build in about 20 ms of its 0.2 s at 1,000 trials,
+# 2-vCPU Xeon). Measured there (medians of 9 interleaved validate
+# sweeps), the groups that one trial per entry puts on the table and two
+# would not ran 13-23% faster on it at 300 trials (B = 17 .. 75) and 27%
+# faster at 1,000 (B = 10 and 16); at 10,000 trials the size cap alone
+# decides. The cap leaves out validate's B = 7 .. 9, 11 and 12, whose tables
+# (up to 89,600 entries) raised its peak RSS by 0.5 MiB.
 _TABLE_ROWS = 8
-_TABLE_TRIALS = 1
 
 
 @dataclass(frozen=True)
@@ -198,29 +196,30 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
       cells with O <= B (which come first) by :func:`_batch_axis_recalls`,
       the rest by :func:`_order_axis_recalls`.
 
-    The batch-axis cells' W and S tables are built once per call, as one
-    :class:`_BatchAxis` that carries both per-call decisions: S is None
-    when it is all zeros (as at O = 1), which drops the straddle term, and
-    the tables are folded when their rows repeat. They repeat with the lcm
-    of the cells' periods ``O / gcd(O, B)`` from row 1 until the end of the
-    horizon or the last order changes them; :func:`_batch_axis_fold` reads
-    off that span with one comparison of W against itself a period later
-    (S repeats wherever W does). Where it holds at least two periods, every
-    chunk counts its crisis flags per residue class over the span and
-    weighs the counts by one period of rows, which adds up the same
-    integers as weighing every flag by its own row, so the recalls are
-    unchanged. Other calls weigh every flag by its own row.
+    Off the table path (below), the batch-axis cells' W and S tables are
+    built once per call, as one :class:`_BatchAxis` that carries both
+    per-call decisions: S is None when it is all zeros (as at O = 1), which
+    drops the straddle term, and the tables are folded when their rows
+    repeat. They repeat with the lcm of the cells' periods ``O / gcd(O,
+    B)`` from row 1 until the end of the horizon or the last order changes
+    them; :func:`_batch_axis_fold` reads off that span with one comparison
+    of W against itself a period later (S repeats wherever W does). Where
+    it holds at least two periods, every chunk counts its crisis flags per
+    residue class over the span and weighs the counts by one period of
+    rows, which adds up the same integers as weighing every flag by its own
+    row, so the recalls are unchanged. Other calls weigh every flag by its
+    own row.
 
     On a short horizon (at most ``_TABLE_ROWS`` batches) with enough trials
-    per cell, neither reduction runs per chunk: :func:`_recall_table`
-    builds the recall of every (cell, u, crisis pattern) once per call,
-    from the same W/S and order tables by pattern doubling and subset sums,
-    and each trial's recall is the table entry at ``(cell * B + u) *
-    2**rows + code``, with ``code = sum_j crisis_j * 2**j`` taken by one
-    einsum over the flags' bytes. Every row is still drawn, and an entry
-    adds up the same integers as the reduction of its column (the same
-    W_j and S_j, or the same order sizes), so draws and recalls are
-    unchanged; such calls build no fold and no probe plan.
+    per cell, which each call decides first, neither reduction runs:
+    :func:`_recall_table` builds the recall of every (cell, u, crisis
+    pattern) once per call from the order tables of every cell, whatever
+    its order size, and each trial's recall is the table entry at ``(cell
+    * B + u) * 2**rows + code``, with ``code = sum_j crisis_j * 2**j`` taken
+    by one einsum over the flags' bytes. Every row is still drawn, and an
+    entry is the recall either reduction gives its column, so draws and
+    recalls are unchanged; such calls build no W/S table, no fold and no
+    probe plan, and keep no order table past the build.
 
     Columns are processed in chunks with a working set of about
     ``_CHUNK_OUTPUTS`` words (more on horizons past 4096 batches): whole
@@ -228,7 +227,7 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     cell, whose trials are cut into the nearest whole number of chunks
     (so a chunk holds 3/4 to 3/2 of the budget). Chunks are cut where the
     batch axis ends, so each chunk's cells share one axis, and each chunk
-    makes one reduction (or one table lookup, which spans both axes) and
+    makes one reduction (or one table lookup, which reads every cell) and
     one ``sink`` call. An order-axis chunk draws every row, unless its
     cells have runs longer than ``4 * _probe_rows(p)`` rows and it would
     skip enough rows: then it draws the rows :func:`_probe_plan` lists,
@@ -245,11 +244,6 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     limit = np.uint64(threshold) if threshold < 1 << 64 else None
     orders = np.array(order_sizes, dtype=np.int64)
     bases = np.asarray(base_seeds, dtype=np.uint64)
-    split = int(np.searchsorted(orders, b, side="right"))
-    # W and S have min(B, Q) columns even for no cell, so skip them then
-    batch_axis = (_batch_axis_tables(orders[:split], b, q, n_batches)
-                  if split else None)
-    order_axis = _order_axis_tables(orders[split:], b, q)
     # numpy's row-by-row passes (einsum, take, outer) need a few tens of
     # columns to run at speed, so horizons past 4096 batches keep chunks
     # _CHUNK_OUTPUTS / 4096 columns wide, and the table grows with Q instead
@@ -260,16 +254,22 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     # trials would cost the fixed numpy calls of a full one
     trials_per_chunk = -(-n // max(1, round(n / columns)))
     table = None
-    if (n_batches <= _TABLE_ROWS and _TABLE_TRIALS * b << n_batches <= n
+    if (n_batches <= _TABLE_ROWS and b << n_batches <= n
             and len(orders) * b << n_batches <= _CHUNK_OUTPUTS // 4):
-        table = _recall_table(batch_axis, order_axis, split, b, q, n_batches)
+        # every cell from its order masks; the order tables are not kept
+        table = _recall_table(_order_axis_tables(orders, b, q), b, q,
+                              n_batches)
         weights = (1 << np.arange(n_batches)).astype(np.uint8)
         offsets = np.arange(0, len(orders) * b, b)[:, None]  # cell * B
-        axes = ((0, len(orders)),)  # one lookup reduces both axes
+        axes = ((0, len(orders)),)  # one lookup reads every cell
+        split, order_axis = 0, None
     else:
-        if split:
+        split = int(np.searchsorted(orders, b, side="right"))
+        if split:  # W and S have min(B, Q) columns even for no cell
+            batch_axis = _batch_axis_tables(orders[:split], b, q, n_batches)
             batch_axis = _batch_axis_fold(orders[:split], b, batch_axis,
                                           cells_per_chunk * trials_per_chunk)
+        order_axis = _order_axis_tables(orders[split:], b, q)
         axes = ((0, split), (split, len(orders)))
     # one test per group, so chunks of groups without long runs draw every
     # row with the same calls as when no run was drawn in part
@@ -319,76 +319,63 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
                 del recalls  # not kept while the next chunk draws
 
 
-def _recall_table(batch_axis: _BatchAxis | None, order_axis: _OrderAxis,
-                  split: int, b: int, q: int, rows: int) -> np.ndarray:
-    """Recall of every (cell, initial consumption u, crisis pattern) of a
-    group whose horizon has ``rows`` batches, entry ``(cell * B + u) *
-    2**rows + code`` with ``code = sum_j crisis_j * 2**j``.
+def _recall_table(tables: _OrderAxis, b: int, q: int,
+                  rows: int) -> np.ndarray:
+    """Recall of every (cell, initial consumption u, crisis pattern) of the
+    cells of ``tables``, whose horizon has ``rows`` batches, entry ``(cell
+    * B + u) * 2**rows + code`` with ``code = sum_j crisis_j * 2**j``.
 
-    Every entry is built from the call's own tables with integer adds in
-    the table's type, code-major (a row of all (cell, u) columns per code,
-    so each pass runs along whole rows), then laid out by one transposed
-    copy:
+    A trial recalls the size s_k of each order k whose rows m_k(u) meet the
+    code: its run [head + 1, stop), its head row iff u < head_lim and its
+    tail row iff u >= tail_lim (see :func:`_order_axis_recalls`; this holds
+    for every order size, not only on the order axis). With F(x) the total
+    size of the orders whose rows lie within x (the subset sums of the
+    sizes by mask), that is ``Q - F(~code)``, since a cell's orders add up
+    to Q.
 
-    * A batch-axis cell (below ``split``) recalls ``sum_j crisis_j * W_j -
-      sum_j crisis_j * crisis_j+1 * S_j`` (see :func:`_batch_axis_recalls`),
-      with W and S read from the unfolded ``batch_axis`` at ``max(u, lo) -
-      lo``. Setting flag j in a code c < 2**j adds W_j, less S_j-1 when flag
-      j - 1 is set, as it is in the upper half of [0, 2**j). So the codes
-      double bit by bit from T[0] = 0: ``T[c + 2**j] = T[c] + W_j - S_j-1 *
-      bit_j-1(c)``.
-    * An order-axis cell recalls the size s_k of each order k whose rows
-      m_k(u) meet the code: its run [head + 1, stop), its head row iff u <
-      head_lim and its tail row iff u >= tail_lim (see
-      :func:`_order_axis_recalls`). With F(x) the total size of the orders
-      whose rows lie within x (the subset sums of the sizes by mask), that
-      is ``Q - F(~code)``, since a cell's orders add up to Q. The build
-      puts -s_k at code ~m_k(u) and Q at the all-ones code, and one pass per
-      bit adds each code's entry to the same code without that bit; every
-      code then holds the sum over its supersets, ``Q - F(~code)``.
-
-    Every partial sum is a recall plus one W_j, or Q less some of a cell's
-    order sizes, so it is at most 2Q in magnitude, exact in the table's
-    type. Beyond the table, the build holds the same table code-major and
-    a few words per (order, u) pair of the order-axis cells.
+    The build runs in the table's type, code-major (a row of all (cell, u)
+    columns per code, so each pass runs along whole rows), then lays the
+    table out by one transposed copy. m_k(u) is constant on the three
+    intervals of u that head_lim and tail_lim cut (the middle one holds
+    both rows or neither, some may be empty), so the build puts -s_k at
+    code ~m_k(u) where each interval starts and +s_k where it ends, and one
+    cumulative sum along u spreads them over every u. It then adds Q at the
+    all-ones code, and one pass per bit adds each code's entry to the same
+    code without that bit; every code then holds the sum over its
+    supersets, ``Q - F(~code)``. Every partial sum adds some of a cell's
+    order sizes with one sign and some with the other, or takes some from
+    Q, so it is at most Q in magnitude, exact in the table's type. Beyond
+    the table, the build holds the same table code-major and a few tens of
+    words per order of a slice of ``_CHUNK_OUTPUTS // 128`` orders.
     """
-    cells = split + len(order_axis.first) - 1
-    patterns, width = 1 << rows, cells * b
+    sizes, cell, first, head, tail, stop, head_lim, tail_lim = tables
+    patterns, cells = 1 << rows, len(first) - 1
     dtype = _sum_type(q)
-    built = np.zeros((patterns, width), dtype=dtype)
-    if split:
-        lo = max(0, b - q)
-        by_u = built[:, :split * b].reshape(patterns, split, b)
-        own = by_u[:, :, lo:]  # every u >= lo; smaller u repeat u = lo
-        touch = batch_axis.touch.reshape(rows, split, b - lo)
-        straddle = batch_axis.straddle
-        for j in range(rows):
-            half = 1 << j
-            upper = own[half:2 * half]
-            np.add(own[:half], touch[j], out=upper)
-            if j and straddle is not None:
-                upper[half >> 1:] -= straddle[j - 1].reshape(split, b - lo)
-        by_u[:, :, :lo] = by_u[:, :, lo:lo + 1]
-    if cells > split:
-        sizes, cell, _, head, tail, stop, head_lim, tail_lim = order_axis
-        u = np.arange(b)
-        # m_k(u), then the flat index of (~m_k(u), cell, u)
-        at = (u < head_lim[:, None]) << head[:, None]
-        at |= (u >= tail_lim[:, None]) << tail[:, None]
-        at |= ((1 << stop) - (2 << head))[:, None]
-        np.subtract(patterns - 1, at, out=at)
-        at *= width
-        at += ((cell + split) * b)[:, None]
-        at += u
-        np.add.at(built.reshape(-1), at, -sizes.astype(dtype)[:, None])
-        built[-1, split * b:] = q  # a cell's orders add up to Q
-        sums = built[:, split * b:]
-        for j in range(rows):
-            pairs = sums.reshape(patterns >> (j + 1), 2, 1 << j, -1)
-            pairs[:, 0] += pairs[:, 1]
-    table = np.empty((width, patterns), dtype=dtype)
-    table.T[...] = built
-    return table.reshape(-1)
+    # one column past u = B - 1 for the ends of the last intervals
+    built = np.zeros((patterns, cells, b + 1), dtype=dtype)
+    flat = built.reshape(-1)
+    step = max(1, _CHUNK_OUTPUTS // 128)  # orders per slice
+    for k0 in range(0, len(sizes), step):
+        k = slice(k0, k0 + step)
+        h, t, hl, tl = 1 << head[k], 1 << tail[k], head_lim[k], tail_lim[k]
+        # the intervals [0, lo), [lo, hi), [hi, B) and each one's mask
+        ends = np.stack((np.zeros_like(hl), np.minimum(hl, tl),
+                         np.maximum(hl, tl), np.full_like(hl, b)))
+        masks = np.stack((h, np.where(hl > tl, h | t, 0), t))
+        masks |= (1 << stop[k]) - (2 << head[k])
+        # the flat index of (~mask, cell, 0)
+        at = (patterns - 1 - masks) * (cells * (b + 1)) + cell[k] * (b + 1)
+        # values as large as the indices: numpy 2.4.6's ufunc.at misreads
+        # values broadcast along a new leading axis
+        size = np.broadcast_to(sizes[k].astype(dtype), at.shape)
+        np.add.at(flat, at + ends[:-1], -size)
+        np.add.at(flat, at + ends[1:], size)
+    np.add.accumulate(built, axis=2, out=built)
+    built[-1] += q  # a cell's orders add up to Q
+    for j in range(rows):
+        pairs = built.reshape(patterns >> (j + 1), 2, 1 << j, -1)
+        pairs[:, 0] += pairs[:, 1]
+    return built[:, :, :b].transpose(1, 2, 0).reshape(-1)  # a copy
 
 
 def _probe_rows(p: float) -> int:
@@ -492,14 +479,16 @@ def _finish_long_runs(touched: np.ndarray, rounds: tuple, seeds: np.ndarray,
 
 
 class _OrderAxis(NamedTuple):
-    """Every order of some order-axis cells, cell by cell, for
-    :func:`_order_axis_recalls`. An order covering units [s, e] has its
-    first and last batches ``s//B`` and ``e//B + 1`` (rows ``head`` and
-    ``tail``; the tail row is clamped to the horizon, which it passes only
-    when ``e % B == 0``, where it is never read) and its always-touched run
-    ``s//B + 1 .. e//B`` (rows [head + 1, stop)). :func:`_probe_plan`
-    replaces each row by its position among the rows a block draws; the
-    head row is always drawn, so the run still starts at ``head + 1``."""
+    """Every order of some cells, cell by cell, for
+    :func:`_order_axis_recalls` (cells with O > B) and :func:`_recall_table`
+    (every cell of a call on the table path). An order covering units [s,
+    e] has its first and last batches ``s//B`` and ``e//B + 1`` (rows
+    ``head`` and ``tail``; the tail row is clamped to the horizon, which it
+    passes only when ``e % B == 0``, where it is never read) and its
+    always-touched run ``s//B + 1 .. e//B`` (rows [head + 1, stop)).
+    :func:`_probe_plan` replaces each row by its position among the rows a
+    block draws; the head row is always drawn, so the run still starts at
+    ``head + 1``."""
 
     sizes: np.ndarray     # units in each order
     cell: np.ndarray      # the cell of each order

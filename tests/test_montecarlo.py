@@ -486,7 +486,6 @@ class TestExhaustiveReductions:
             expected = np.stack([unit_recalls(o, b, q, u, crisis)
                                  for o in orders])
             split = min(b, q)  # cells [0, split) on the batch axis
-            tables = montecarlo._batch_axis_tables(orders[:split], b, q, rows)
             for cells in (range(split), *([c] for c in range(split))):
                 cells = np.array(cells)
                 own = montecarlo._batch_axis_tables(orders[cells], b, q, rows)
@@ -509,8 +508,8 @@ class TestExhaustiveReductions:
                     order_axis, 0, q - split, np.tile(u, q - split),
                     np.tile(crisis, q - split))
                 np.testing.assert_array_equal(got, expected[split:])
-            table = montecarlo._recall_table(tables, order_axis, split, b, q,
-                                             rows)
+            table = montecarlo._recall_table(
+                montecarlo._order_axis_tables(orders, b, q), b, q, rows)
             np.testing.assert_array_equal(table, expected.reshape(-1))
             checked += expected.size
         assert checked == 42084
@@ -668,8 +667,10 @@ def reference_recall_table(batch_axis, order_axis, split, b, q, rows,
     return table.reshape(-1)
 
 
-def recall_table_args(orders, b, q):
-    """The arguments _group_recalls passes _recall_table for a group."""
+def reference_args(orders, b, q):
+    """reference_recall_table's arguments for a group, less ``columns``:
+    its W/S tables, order tables and axis split as a reduction call
+    makes them."""
     rows = (q + 2 * b - 2) // b
     orders = np.array(orders, dtype=np.int64)
     split = int(np.searchsorted(orders, b, side="right"))
@@ -692,12 +693,12 @@ def traced_peak(build, *args):
 
 def _gate_extremes():
     """Groups at the limits of the table path, for rows 1 .. 8: one cell at
-    the largest B the 2**15-entry cap admits, on the batch axis at O = 1
-    (no S table) and at O = 7, and on the order axis at O = Q; and 16 cells
-    over both axes at the largest B that admits them. Q is the least or the
-    largest that gives the rows; at the largest, Q = (rows - 1) * B + 1,
-    every order-axis cell's last order ends on a batch boundary, so its
-    tail row is clamped to the horizon."""
+    the largest B the 2**15-entry cap admits, at O = 1 (up to 8,193 orders
+    in one cell), O = 7 and O = Q; and 16 cells with O from 1 to Q at the
+    largest B that admits them. Q is the least or the largest that gives
+    the rows; at the largest, Q = (rows - 1) * B + 1, every cell's last
+    order ends on a batch boundary, so its tail row is clamped to the
+    horizon."""
     cap = montecarlo._CHUNK_OUTPUTS // 4
     for rows in range(1, 9):
         one, many = cap >> rows, cap >> (rows + 4)
@@ -734,8 +735,7 @@ class TestRecallTable:
         orders = data.draw(st.lists(st.integers(1, q), min_size=1, max_size=4,
                                     unique=True).map(sorted), label="orders")
         p = data.draw(st.sampled_from([0.0, 2**-53, 0.3, 1.0]), label="p")
-        n = data.draw(st.integers(0, 64), label="extra trials") + (
-            montecarlo._TABLE_TRIALS * b << rows)
+        n = data.draw(st.integers(0, 64), label="extra trials") + (b << rows)
         seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
         budget = data.draw(st.sampled_from([None, 1 << 15]), label="chunk")
         seeds = [derive_seed(seed, o, b) for o in orders]
@@ -764,33 +764,43 @@ class TestRecallTable:
         """Every entry equals the reductions' recall of its column, and the
         build needs no more memory than going through the reductions in
         chunk-sized slices."""
-        args = recall_table_args(orders, b, q)
+        args = reference_args(orders, b, q)
         rows = args[-1]
         assert rows <= montecarlo._TABLE_ROWS
         assert len(orders) * b << rows <= montecarlo._CHUNK_OUTPUTS // 4
         columns = max(1, montecarlo._CHUNK_OUTPUTS // (rows + 11))
         expected, reference_peak = traced_peak(reference_recall_table, *args,
                                                columns)
-        table, peak = traced_peak(montecarlo._recall_table, *args)
+        tables = montecarlo._order_axis_tables(np.array(orders), b, q)
+        table, peak = traced_peak(montecarlo._recall_table, tables, b, q,
+                                  rows)
         assert table.dtype == expected.dtype
         np.testing.assert_array_equal(table, expected)
         assert peak <= reference_peak
 
     def test_gate_extremes_cover_both_axes_and_clamped_tails(self):
-        """The cases above reach every row count, both axes, the group
-        without an S table, and order-axis cells with a clamped tail."""
+        """The cases above reach every row count, cells with O <= B and O >
+        B, orders with and without a run of always-touched rows, with
+        head_lim above tail_lim (the middle interval of u touches both
+        rows) and not (neither), with a clamped tail and without, and a
+        cell whose orders fill more than one of the build's slices of
+        _CHUNK_OUTPUTS // 128 orders."""
         seen = set()
         for orders, b, q in _gate_extremes():
-            batch_axis, order_axis, split, _, _, rows = recall_table_args(
-                orders, b, q)
-            seen.add(("rows", rows))
-            if split:
-                seen.add(("S", batch_axis.straddle is not None))
-            if split < len(orders):
-                seen.add(("clamped", bool(
-                    (order_axis.tail < order_axis.stop).any())))
+            tables = montecarlo._order_axis_tables(np.array(orders), b, q)
+            seen.add(("rows", (q + 2 * b - 2) // b))
+            seen.add(("slices", int(np.diff(tables.first).max())
+                      > montecarlo._CHUNK_OUTPUTS // 128))
+            for case, each in (
+                    ("O <= B", np.array(orders) <= b),
+                    ("run", tables.stop > tables.head + 1),
+                    ("both", tables.head_lim > tables.tail_lim),
+                    ("clamped", tables.tail < tables.stop)):
+                seen.update((case, bool(x)) for x in np.unique(each))
         assert seen == {("rows", r) for r in range(1, 9)} | {
-            ("S", True), ("S", False), ("clamped", True), ("clamped", False)}
+            (case, x) for case in ("O <= B", "run", "both", "clamped",
+                                   "slices")
+            for x in (True, False)}
 
     @pytest.mark.parametrize("orders,b,q,slack,used,probed", [
         ((1, 5), 4, 20, 0, True, False),          # 6 rows
@@ -799,20 +809,26 @@ class TestRecallTable:
         ((1, 7), 1, 9, 10**4, False, True),       # 9 rows
         (range(1, 11), 7, 50, 0, True, False),    # 17,920 entries
         (range(1, 51), 7, 50, 0, False, True),    # 89,600 entries
+        ((1,), 8192, 8193, 0, True, False),       # 8,193 orders in a cell
     ])
     def test_used_only_on_short_horizons_with_enough_trials(
             self, monkeypatch, orders, b, q, slack, used, probed):
         """The fewest trials that take the table, and the horizon and size
         limits; at p = 1 runs of more than 4 rows are probed, except on the
-        table path."""
+        table path. A call on the table path builds no W/S table and runs
+        no fold; one that reduces its batch-axis cells (O = 1 here) builds
+        and folds them once."""
         rows = (q + 2 * b - 2) // b
-        n = (montecarlo._TABLE_TRIALS * b << rows) + slack
+        n = (b << rows) + slack
         tables = record_calls(monkeypatch, "_recall_table")
         plans = record_calls(monkeypatch, "_probe_plan")
+        axes = record_calls(monkeypatch, "_batch_axis_tables")
+        folds = record_calls(monkeypatch, "_batch_axis_fold")
         montecarlo._group_recalls(tuple(orders), b, q, 1.0,
                                   list(range(len(orders))), n,
                                   lambda *block: None)
         assert (len(tables), bool(plans)) == (used, probed)
+        assert len(axes) == len(folds) == (not used)
 
     @pytest.mark.parametrize("orders,b,q,straddles", [
         ((1,), 1, 6000, False), ((1,), 7, 50, False), ((1, 2), 3, 50, True),
