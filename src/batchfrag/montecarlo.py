@@ -228,10 +228,12 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     (so a chunk holds 3/4 to 3/2 of the budget). Chunks are cut where the
     batch axis ends, so each chunk's cells share one axis, and each chunk
     makes one reduction (or one table lookup, which reads every cell) and
-    one ``sink`` call. An order-axis chunk draws every row, unless its
-    cells have runs longer than ``4 * _probe_rows(p)`` rows and it would
-    skip enough rows: then it draws the rows :func:`_probe_plan` lists,
-    the rest of those runs only for trials whose order is not yet
+    one ``sink`` call. Every chunk draws its stream outputs from a column
+    of output indices: all ``n_batches + 1`` rows, a column built once per
+    call, unless :func:`_probe_plan` returns a plan for the
+    :meth:`_OrderAxis.block` of an order-axis chunk's cells (sliced once
+    per range of cells). Then the chunk draws the rows the plan lists, the
+    rest of its cells' long runs only for trials whose order is not yet
     recalled, and its width is sized from those rows. Memory beyond the
     per-cell tables and what the sink keeps therefore grows with neither n
     nor the grid (``sweep`` bounds the tables by the cells it passes); the
@@ -262,7 +264,6 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
         weights = (1 << np.arange(n_batches)).astype(np.uint8)
         offsets = np.arange(0, len(orders) * b, b)[:, None]  # cell * B
         axes = ((0, len(orders)),)  # one lookup reads every cell
-        split, order_axis = 0, None
     else:
         split = int(np.searchsorted(orders, b, side="right"))
         if split:  # W and S have min(B, Q) columns even for no cell
@@ -271,23 +272,17 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
                                           cells_per_chunk * trials_per_chunk)
         order_axis = _order_axis_tables(orders[split:], b, q)
         axes = ((0, split), (split, len(orders)))
-    # one test per group, so chunks of groups without long runs draw every
-    # row with the same calls as when no run was drawn in part
+    every_row = np.arange(n_batches + 1, dtype=np.uint64)[:, None]
     probe = _probe_rows(p)
-    probing = table is None and probe > 0 and bool(
-        (order_axis.stop - order_axis.head - 1 > 4 * probe).any())
     for first, last in axes:
         for c0 in range(first, last, cells_per_chunk):
             c1 = min(last, c0 + cells_per_chunk)
-            lo, hi = c0 - split, c1 - split  # order-axis cells, if c0 >= split
-            plan = (_probe_plan(order_axis, lo, hi, n_batches, probe, n)
-                    if probing and c0 >= split else None)
-            if plan is None:
-                outputs, tables, rounds = n_batches + 1, order_axis, None
-                width = trials_per_chunk
-            else:
-                outputs, tables, rounds, width = plan
-                lo, hi = 0, c1 - c0
+            outputs, rounds, width = every_row, None, trials_per_chunk
+            if table is None and c0 >= split:
+                tables = order_axis.block(c0 - split, c1 - split)
+                plan = _probe_plan(tables, n_batches, probe, n)
+                if plan is not None:
+                    outputs, tables, rounds, width = plan
             for t0 in range(0, n, width):
                 trials = np.arange(t0, min(n, t0 + width), dtype=np.uint64)
                 seeds = derive_seeds(bases[c0:c1, None], trials)
@@ -313,8 +308,8 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
                     ).reshape(c1 - c0, -1)
                 else:
                     recalls = _order_axis_recalls(
-                        tables, lo, hi, u, crisis,
-                        None if rounds is None else (rounds, seeds, threshold))
+                        tables, u, crisis,
+                        None if rounds is None else (rounds, seeds, limit))
                 sink(c0, t0, recalls)
                 del recalls  # not kept while the next chunk draws
 
@@ -378,44 +373,44 @@ def _recall_table(tables: _OrderAxis, b: int, q: int,
     return built[:, :, :b].transpose(1, 2, 0).reshape(-1)  # a copy
 
 
-def _probe_rows(p: float) -> int:
+def _probe_rows(p: float) -> float:
     """Rows of a long order-axis run that every trial draws: the fewest that
     hold a crisis with probability at least 3/4, ``ceil(ln 4 / -ln(1 - p))``
-    (1 at p = 1). 0, for no probing, when p = 0 or the count reaches 2**53,
-    more rows than any horizon has."""
+    (1 at p = 1). ``math.inf``, which no run exceeds, so that no run is
+    drawn in part, when p = 0 or the count reaches 2**53, more rows than
+    any horizon has."""
     if p >= 1:
         return 1
     rows = math.log(4) / -math.log1p(-p) if p > 0 else math.inf
-    return math.ceil(rows) if rows < 2**53 else 0
+    return math.ceil(rows) if rows < 2**53 else math.inf
 
 
-def _probe_plan(tables: _OrderAxis, lo: int, hi: int, n_batches: int,
-                probe: int, n: int) -> tuple | None:
-    """What the chunks of cells [lo, hi) of ``tables``, n trials each, draw
-    when each run longer than ``4 * probe`` rows is drawn only in part for
-    every trial.
+def _probe_plan(tables: _OrderAxis, n_batches: int, probe: float,
+                n: int) -> tuple | None:
+    """What the chunks of the cells of ``tables`` (an
+    :meth:`_OrderAxis.block`), n trials each, draw when each run longer than
+    ``4 * probe`` rows is drawn only in part for every trial.
 
-    The block draws row 0 and the rows of every order's head and tail, of
+    The plan draws row 0 and the rows of every order's head and tail, of
     every short run, and of the first ``probe`` rows of every long run.
     Every long run ends in rounds, even where other orders of the block
     read its other rows: the rounds draw those again, and recall is an OR.
-    Returns None when no run is long, or when a chunk would skip fewer
-    than ``_CHUNK_OUTPUTS`` stream outputs: each round of
-    :func:`_finish_long_runs` costs a few tens of numpy calls whatever its
-    size, and in ``validate -n 1000`` (B = 1, chunks of two cells, 58,000
-    outputs skipped) the rounds cost more than the skipped outputs. Else
-    returns the stream output indices to draw (a column), the tables of
-    :func:`_order_axis_recalls` for cells [0, hi - lo) with every row
-    replaced by its position among the drawn rows, the long runs for
-    :func:`_finish_long_runs` (their orders, the cell of each, and the
-    stream outputs of the first row not drawn and of the last row), and
-    the trials per chunk. A chunk column takes its stream outputs, about
-    ten words of vectors, and its share of the round arrays: 3 words per
-    flag for at most a quarter of the long runs' (order, trial) pairs.
+    Returns None, for chunks that draw every row, when no run is long, or
+    when a chunk would skip fewer than ``_CHUNK_OUTPUTS`` stream outputs:
+    each round of :func:`_finish_long_runs` costs a few tens of numpy calls
+    whatever its size, and in ``validate -n 1000`` (B = 1, chunks of two
+    cells, 58,000 outputs skipped) the rounds cost more than the skipped
+    outputs. Else returns the stream output indices to draw (a column),
+    ``tables`` with every row replaced by its position among the drawn
+    rows, the long runs for :func:`_finish_long_runs` (their orders, the
+    cell of each, and the stream outputs of the first row not drawn and of
+    the last row), and the trials per chunk. A chunk column takes its
+    stream outputs, about ten words of vectors, and its share of the round
+    arrays: 3 words per flag for at most a quarter of the long runs'
+    (order, trial) pairs.
     """
-    orders = slice(tables.first[lo], tables.first[hi])
-    head, tail = tables.head[orders], tables.tail[orders]
-    start, stop = head + 1, tables.stop[orders]
+    head, tail, stop = tables.head, tables.tail, tables.stop
+    start, cells = head + 1, len(tables.first) - 1
     long = stop - start > 4 * probe
     if not long.any():
         return None
@@ -428,34 +423,31 @@ def _probe_plan(tables: _OrderAxis, lo: int, hi: int, n_batches: int,
     # before[j]: the rows read below row j, so the position of row j
     before = np.zeros(n_batches + 1, dtype=np.int64)
     np.cumsum(read, out=before[1:])
-    block = _OrderAxis(
-        tables.sizes[orders], tables.cell[orders] - lo,
-        tables.first[lo:hi + 1] - tables.first[lo], before[head],
-        before[tail], before[drawn], tables.head_lim[orders],
-        tables.tail_lim[orders])
     long = np.flatnonzero(long)
-    rounds = (long, block.cell[long], (drawn[long] + 1).astype(np.uint64),
+    rounds = (long, tables.cell[long], (drawn[long] + 1).astype(np.uint64),
               stop[long].astype(np.uint64), probe)
     outputs = np.concatenate(([0], np.flatnonzero(read) + 1)).astype(
         np.uint64)[:, None]
-    width = len(outputs) + 10 + -(-3 * probe * len(long) // (4 * (hi - lo)))
-    trials = min(n, max(1, _CHUNK_OUTPUTS // min(width, 4096) // (hi - lo)))
-    if (n_batches + 1 - len(outputs)) * trials * (hi - lo) < _CHUNK_OUTPUTS:
+    width = len(outputs) + 10 + -(-3 * probe * len(long) // (4 * cells))
+    trials = min(n, max(1, _CHUNK_OUTPUTS // min(width, 4096) // cells))
+    if (n_batches + 1 - len(outputs)) * trials * cells < _CHUNK_OUTPUTS:
         return None
-    return outputs, block, rounds, trials
+    return outputs, tables._replace(head=before[head], tail=before[tail],
+                                    stop=before[drawn]), rounds, trials
 
 
 def _finish_long_runs(touched: np.ndarray, rounds: tuple, seeds: np.ndarray,
-                      threshold: int) -> None:
+                      limit: np.uint64) -> None:
     """Set ``touched[k, i]`` for each long run k of :func:`_probe_plan`
     that holds a crisis in the rows its trial i has not drawn.
 
     A run's undrawn rows are drawn ``probe`` at a time, one round after
     another, and only for the (order, trial) pairs not yet known to be
     recalled: a flag skipped is a flag of an order already recalled, and
-    recall is an OR, so no result changes. ``seeds`` is (cells, trials).
-    Each round's arrays are drawn in slices of at most a quarter of the
-    long runs' pairs.
+    recall is an OR, so no result changes. ``seeds`` is (cells, trials),
+    and a flag is set where an output is below ``limit``, the call's
+    ``unit_threshold(p)``. Each round's arrays are drawn in slices of at
+    most a quarter of the long runs' pairs.
     """
     long, owner, nxt, end, probe = rounds
     k, i = np.nonzero(~touched[long])
@@ -471,7 +463,7 @@ def _finish_long_runs(touched: np.ndarray, rounds: tuple, seeds: np.ndarray,
             seed, first, last = pending[:3, s:s + cap]
             # rows past the run's end repeat its last row: OR is idempotent
             x = stream_outputs(seed, np.minimum(first + steps, last))
-            hit[s:s + cap] = (x < np.uint64(threshold)).any(axis=0)
+            hit[s:s + cap] = (x < limit).any(axis=0)
         touched[pending[3, hit], pending[4, hit]] = True
         pending[1] += np.uint64(probe)
         hit |= pending[1] > pending[2]
@@ -486,9 +478,10 @@ class _OrderAxis(NamedTuple):
     ``head`` and ``tail``; the tail row is clamped to the horizon, which it
     passes only when ``e % B == 0``, where it is never read) and its
     always-touched run ``s//B + 1 .. e//B`` (rows [head + 1, stop)).
-    :func:`_probe_plan` replaces each row by its position among the rows a
-    block draws; the head row is always drawn, so the run still starts at
-    ``head + 1``."""
+    A kernel chunk reads the :meth:`block` of its own cells, and
+    :func:`_probe_plan` replaces each row of a block by its position among
+    the rows its chunks draw; the head row is always drawn, so the run
+    still starts at ``head + 1``."""
 
     sizes: np.ndarray     # units in each order
     cell: np.ndarray      # the cell of each order
@@ -498,6 +491,18 @@ class _OrderAxis(NamedTuple):
     stop: np.ndarray
     head_lim: np.ndarray  # the head batch is touched iff u < head_lim
     tail_lim: np.ndarray  # the tail batch is touched iff u >= tail_lim
+
+    def block(self, lo: int, hi: int) -> _OrderAxis:
+        """The tables of cells [lo, hi), renumbered from cell 0 and order 0:
+        views of the order columns, an int32 copy of ``cell`` and a copy of
+        ``first``."""
+        orders = slice(self.first[lo], self.first[hi])
+        return _OrderAxis(
+            self.sizes[orders], np.subtract(self.cell[orders], lo,
+                                            dtype=np.int32),
+            self.first[lo:hi + 1] - self.first[lo], self.head[orders],
+            self.tail[orders], self.stop[orders], self.head_lim[orders],
+            self.tail_lim[orders])
 
 
 def _order_axis_tables(order_sizes: np.ndarray, b: int, q: int) -> _OrderAxis:
@@ -514,8 +519,8 @@ def _order_axis_tables(order_sizes: np.ndarray, b: int, q: int) -> _OrderAxis:
                       b - starts % b, b - ends % b)
 
 
-def _order_axis_recalls(tables: _OrderAxis, lo: int, hi: int,
-                        u: np.ndarray, crisis: np.ndarray,
+def _order_axis_recalls(tables: _OrderAxis, u: np.ndarray,
+                        crisis: np.ndarray,
                         rounds: tuple | None = None) -> np.ndarray:
     """Recalls reduced order by order, for orders longer than batches.
 
@@ -525,25 +530,24 @@ def _order_axis_recalls(tables: _OrderAxis, lo: int, hi: int,
     ``u < B - s % B`` and batch ``e//B + 1`` iff ``u >= B - e % B``. Each
     order reads its always-touched run through :func:`_crisis_in_rows` and
     two crisis rows, in its own cell's block of columns; with ``rounds``
-    (the long runs, seeds and threshold of :func:`_finish_long_runs`) the
+    (the long runs, seeds and limit of :func:`_finish_long_runs`) the
     rows drawn hold only part of some runs, and the rest is drawn there.
-    ``u`` and ``crisis`` hold the columns of cells [lo, hi) of ``tables``,
-    cell-major; returns (hi - lo, trials).
+    ``u`` and ``crisis`` hold the columns of every cell of ``tables`` (one
+    whose cells and orders count from 0, such as a :meth:`_OrderAxis.block`),
+    cell-major; returns (cells, trials).
     """
     sizes, cell, first, head, tail, stop, head_lim, tail_lim = tables
-    orders = slice(first[lo], first[hi])
-    cell, head, tail = cell[orders] - lo, head[orders], tail[orders]
-    crisis = crisis.reshape(len(crisis), hi - lo, -1)
-    touched = _crisis_in_rows(crisis, head + 1, stop[orders], cell)
-    u = u.reshape(hi - lo, -1)[cell]
-    touched |= crisis[head, cell] & (u < head_lim[orders, None])
-    touched |= crisis[tail, cell] & (u >= tail_lim[orders, None])
+    cells = len(first) - 1
+    crisis = crisis.reshape(len(crisis), cells, -1)
+    touched = _crisis_in_rows(crisis, head + 1, stop, cell)
+    u = u.reshape(cells, -1)[cell]
+    touched |= crisis[head, cell] & (u < head_lim[:, None])
+    touched |= crisis[tail, cell] & (u >= tail_lim[:, None])
     if rounds is not None:
         _finish_long_runs(touched, *rounds)
-    sizes, bounds = sizes[orders], first[lo:hi + 1] - first[lo]
-    recalls = np.empty((hi - lo, touched.shape[1]), dtype=np.int64)
-    for c in range(hi - lo):
-        own = slice(bounds[c], bounds[c + 1])
+    recalls = np.empty((cells, touched.shape[1]), dtype=np.int64)
+    for c in range(cells):
+        own = slice(first[c], first[c + 1])
         recalls[c] = np.einsum("k,ki->i", sizes[own], touched[own])
     return recalls
 

@@ -133,20 +133,16 @@ def derive_seeds(base_seed: np.ndarray, components: np.ndarray) -> np.ndarray:
     return _mix64_inplace(base + components.astype(np.uint64, copy=False))
 
 
-def stream_outputs(seeds: np.ndarray, outputs) -> np.ndarray:
+def stream_outputs(seeds: np.ndarray, outputs: np.ndarray) -> np.ndarray:
     """Stream outputs of many seeds at once, as uint64.
 
-    ``outputs`` is either an int n, for outputs ``0 .. n-1`` of every seed
-    output-major (a (n, len(seeds)) array whose row j column i is
-    ``stream_output(seeds[i], j)``), or an array of output indices that is
-    broadcast against ``seeds``: each result element is the output of its
-    seed at its index. The int form is the array form with
-    ``np.arange(n)[:, None]``.
+    ``outputs`` is an array of output indices that is broadcast against
+    ``seeds``: each result element is the output of its seed at its index.
+    A column of indices gives an output-major table: with
+    ``np.arange(n)[:, None]``, row j column i is ``stream_output(seeds[i],
+    j)``.
     """
-    if isinstance(outputs, (int, np.integer)):
-        ks = np.arange(1, outputs + 1, dtype=np.uint64)[:, None]
-    else:
-        ks = np.asarray(outputs, dtype=np.uint64) + _U_ONE
+    ks = np.asarray(outputs, dtype=np.uint64) + _U_ONE
     ks *= _U_GOLDEN
     return _mix64_inplace(np.add(ks, seeds.astype(np.uint64, copy=False)))
 

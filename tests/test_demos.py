@@ -1,6 +1,8 @@
-"""The scripts in demos/ run to completion against the current package."""
+"""The scripts in demos/ and README's library quick start run to completion
+against the current package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +34,21 @@ def test_demo_runs(script, tmp_path):
         name, header = DEMOS[script]
         lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
         assert lines[0] == header
+
+
+def test_readme_quick_start_values():
+    """README's python block runs, and each commented line shows what it
+    computes: the model values exactly, the estimate to the digits shown."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    namespace = {}
+    exec(block, namespace)
+    shown = {}  # each comment -> the value of the code before it
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if comment:
+            shown[comment.strip()] = eval(code, namespace)
+    assert repr(shown["Fraction(13, 4)"]) == "Fraction(13, 4)"
+    assert repr(shown["20.516331951607658"]) == "20.516331951607658"
+    mean, std_error = shown["simulated counterpart: 20.473 +/- 0.126"]
+    assert (round(mean, 3), round(std_error, 3)) == (20.473, 0.126)

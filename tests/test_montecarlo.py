@@ -505,7 +505,7 @@ class TestExhaustiveReductions:
             order_axis = montecarlo._order_axis_tables(orders[split:], b, q)
             if q > split:
                 got = montecarlo._order_axis_recalls(
-                    order_axis, 0, q - split, np.tile(u, q - split),
+                    order_axis, np.tile(u, q - split),
                     np.tile(crisis, q - split))
                 np.testing.assert_array_equal(got, expected[split:])
             table = montecarlo._recall_table(
@@ -562,7 +562,7 @@ class TestExhaustiveGroupRecalls:
     def _patterned(cls, mp, orders, b, q, seeds, n):
         """Patch stream_outputs so that trial i of cell c draws u and the
         crisis pattern of combination ``(i + c) % (B * 2**rows)`` (u-major),
-        in every call form the kernel uses; returns the definition's
+        at every output index the kernel draws; returns the definition's
         recall of each (cell, trial)."""
         rows = (q + 2 * b - 2) // b
         combo = (np.arange(n) + np.arange(len(orders))[:, None]) % (b << rows)
@@ -583,8 +583,6 @@ class TestExhaustiveGroupRecalls:
         def patterned(s, outputs):
             at = by_seed[np.searchsorted(known, s)]
             assert (trial_seeds[at] == s).all()
-            if isinstance(outputs, (int, np.integer)):
-                return words[:outputs, at]
             # an index past the horizon fails here
             return words[np.asarray(outputs).astype(np.int64), at]
 
@@ -661,7 +659,7 @@ def reference_recall_table(batch_axis, order_axis, split, b, q, rows,
                         batch_axis, b, q, np.arange(c0, c1), u, crisis)
                 else:
                     recalls = montecarlo._order_axis_recalls(
-                        order_axis, c0 - split, c1 - split, u, crisis)
+                        order_axis.block(c0 - split, c1 - split), u, crisis)
                 table[c0:c1, u0 << rows:u1 << rows] = recalls.reshape(
                     c1 - c0, -1)
     return table.reshape(-1)
@@ -814,10 +812,10 @@ class TestRecallTable:
     def test_used_only_on_short_horizons_with_enough_trials(
             self, monkeypatch, orders, b, q, slack, used, probed):
         """The fewest trials that take the table, and the horizon and size
-        limits; at p = 1 runs of more than 4 rows are probed, except on the
-        table path. A call on the table path builds no W/S table and runs
-        no fold; one that reduces its batch-axis cells (O = 1 here) builds
-        and folds them once."""
+        limits; at p = 1 runs of more than 4 rows go to _probe_plan, except
+        on the table path, which asks for no plan. A call on the table path
+        builds no W/S table and runs no fold; one that reduces its
+        batch-axis cells (O = 1 here) builds and folds them once."""
         rows = (q + 2 * b - 2) // b
         n = (b << rows) + slack
         tables = record_calls(monkeypatch, "_recall_table")
@@ -827,7 +825,10 @@ class TestRecallTable:
         montecarlo._group_recalls(tuple(orders), b, q, 1.0,
                                   list(range(len(orders))), n,
                                   lambda *block: None)
-        assert (len(tables), bool(plans)) == (used, probed)
+        # a plan asked for on tables with a run of over 4 rows (probe = 1)
+        long = any((block.stop - block.head - 1 > 4).any()
+                   for (block, *_), _, _ in plans)
+        assert (len(tables), long) == (used, probed)
         assert len(axes) == len(folds) == (not used)
 
     @pytest.mark.parametrize("orders,b,q,straddles", [
@@ -858,7 +859,8 @@ class TestEarlyResolution:
         rows = montecarlo._probe_rows(p)
         assert (1 - p) ** rows <= 0.25 < (1 - p) ** (rows - 1)
 
-    @pytest.mark.parametrize("p,rows", [(0.0, 0), (5e-324, 0), (1.0, 1)])
+    @pytest.mark.parametrize("p,rows", [(0.0, math.inf), (5e-324, math.inf),
+                                        (1.0, 1)])
     def test_probe_extremes(self, p, rows):
         assert montecarlo._probe_rows(p) == rows
 
@@ -921,10 +923,10 @@ class TestEarlyResolution:
         probing_cells = []
         make_plan = montecarlo._probe_plan
 
-        def recorded_plan(tables, lo, hi, *args):
-            plan = make_plan(tables, lo, hi, *args)
+        def recorded_plan(tables, *args):
+            plan = make_plan(tables, *args)
             if plan is not None:
-                probing_cells.append(hi - lo)
+                probing_cells.append(len(tables.first) - 1)
             return plan
 
         for budget in (montecarlo._CHUNK_OUTPUTS, 400):
@@ -1315,15 +1317,20 @@ class TestSweep:
     def test_memory_bounded_for_many_cells_at_few_trials(self):
         """The cells per kernel call are capped by the size of their W/S
         tables, so memory does not grow with the grid at few trials (a cap
-        by the trial count alone peaks at ~30 MiB here)."""
-        tracemalloc.start()
-        try:
-            grid = sweep(5000, 0.15, range(1, 201), [300, 4000], n_trials=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert grid.sim_mean.shape == (200, 2)
-        assert peak < 4 * 2**20
+        by the trial count alone peaks at ~30 MiB here). The same cap
+        bounds the order tables of cells with O > B, of which the first grid
+        has none: in the second a call holds two cells of up to 50,000
+        orders, and the peak is about 3.5 MiB."""
+        for q, orders, batches, mib in ((5000, range(1, 201), [300, 4000], 4),
+                                        (50_000, range(1, 41), [1], 8)):
+            tracemalloc.start()
+            try:
+                grid = sweep(q, 0.15, orders, batches, n_trials=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert grid.sim_mean.shape == (len(orders), len(batches))
+            assert peak < mib * 2**20
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
@@ -1423,13 +1430,33 @@ class TestSweep:
 
     def test_divisor_cells_track_exact_mixture(self):
         """Without remainder orders the trial mean estimates Q times the
-        exact two-point recall probability."""
-        grid = sweep(50, 0.15, [1, 2, 5, 10, 25, 50], [3, 4, 7],
-                     n_trials=10_000, base_seed=1)
+        exact two-point recall probability. On every cell it estimates the
+        process mean ``O * (Q // O) * P(O) + r * P(r)``, r = Q mod O, with
+        P(s) the exact recall probability of an order of s units (each
+        order's start is uniform over the batch, as u is): the 300 z
+        scores stay within 4.5 (a two-sided false alarm of about 6.8e-6 a
+        cell, 2e-3 over the grid) and their spread near 1, which a wrong
+        std_error would move (max |z| 2.80-3.02 and sd 0.956-0.964 at seeds
+        0-3)."""
+        q, orders, batches = 50, range(1, 51), [3, 4, 7, 13, 50, 100]
+        grid = sweep(q, 0.15, orders, batches, n_trials=10_000, base_seed=1)
         se = grid.std_error
-        for i, o in enumerate([1, 2, 5, 10, 25, 50]):
+
+        def p_exact(s, b):
+            return recall_probability_exact(ModelParams(s, b, q, 0.15))
+
+        for o in [1, 2, 5, 10, 25, 50]:
             for j, b in enumerate([3, 4, 7]):
-                exact = 50 * recall_probability_exact(
-                    ModelParams(o, b, 50, 0.15))
-                tolerance = 4 * max(se[i, j], 1e-9)
-                assert abs(grid.sim_mean[i, j] - exact) <= tolerance
+                exact = 50 * p_exact(o, b)
+                tolerance = 4 * max(se[o - 1, j], 1e-9)
+                assert abs(grid.sim_mean[o - 1, j] - exact) <= tolerance
+        def process_mean(o, b):
+            r = q % o
+            return o * (q // o) * p_exact(o, b) + (r * p_exact(r, b) if r
+                                                   else 0)
+
+        exact = np.array([[process_mean(o, b) for b in batches]
+                          for o in orders])
+        z = (grid.sim_mean - exact) / se
+        assert np.abs(z).max() <= 4.5
+        assert 0.8 <= z.std() <= 1.2

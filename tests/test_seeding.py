@@ -51,24 +51,27 @@ class TestStreamOutput:
 
     def test_vectorized_matches_scalar(self):
         seeds = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
-        table = stream_outputs(seeds, 6)
+        table = stream_outputs(seeds, np.arange(6)[:, None])
         for i, seed in enumerate(seeds.tolist()):
             assert table[:, i].tolist() == [stream_output(seed, k)
                                             for k in range(6)]
 
 
     def test_integer_form_bytes_pinned(self):
-        """The int form's table, byte for byte, as it was before the index
-        form existed (digest of a 101 x 37 table of derived seeds)."""
+        """Outputs 0 .. 100 of 37 derived seeds drawn through an int64
+        column of indices, byte for byte, as the int form that the index
+        column replaced drew them; a uint64 column, as the kernel builds,
+        draws the same table."""
         seeds = derive_seeds(np.array([3], dtype=np.uint64),
                              np.arange(37, dtype=np.uint64))
-        table = stream_outputs(seeds, 101)
+        table = stream_outputs(seeds, np.arange(101)[:, None])
         assert table.shape == (101, 37) and table.dtype == np.uint64
         assert table.flags["C_CONTIGUOUS"]
         assert hashlib.sha256(table.tobytes()).hexdigest() == (
             "b70a8dcd06d1803a39d0ce2cc04de5860c9b3f610c8da8f26b6d45c431fdfb29")
         np.testing.assert_array_equal(
-            stream_outputs(seeds, np.arange(101)[:, None]), table)
+            stream_outputs(seeds, np.arange(101, dtype=np.uint64)[:, None]),
+            table)
 
     @given(st.lists(st.tuples(st.integers(0, 2**64 - 1),
                               st.integers(0, 2**64 - 2)),
