@@ -15,11 +15,12 @@ of the stream outputs the simulator reads: it skips a crisis flag only
 for an order already known to be recalled, once one flag of that order
 is set, and the rest of its flags cannot change the recall. On every
 output both read, they make the same decisions: the simulator compares
-``unit_float(x) < p``, the kernel the exactly equivalent integer test
-``x < unit_threshold(p)``, and both draw the initial consumption as the
-same once-rounded float product (``below`` and its vectorized twin
-``belows``). So they agree bit-for-bit; the test suite asserts that parity
-cell by cell.
+``unit_float(x) < p`` output by output, the kernel decides the same test
+on arrays of outputs with ``unit_less(p)`` (the exactly equivalent
+integer test ``x < unit_threshold(p)``, or every flag set at p = 1), and
+both draw the initial consumption as the same once-rounded float product
+(``below`` and its vectorized twin ``belows``). So they agree
+bit-for-bit; the test suite asserts that parity cell by cell.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .model import (InvalidParamsError, ModelParams, _check_grid,
                     _check_positive_int, _recall_size_surface)
-from .seeding import belows, derive_seeds, stream_outputs, unit_threshold
+from .seeding import belows, derive_seeds, stream_outputs, unit_less
 
 __all__ = [
     "Z95",
@@ -189,8 +190,8 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     the u draws, row j + 1 the crisis draws of batch j):
 
     * row 0 -> initial consumption ``u = floor(unit * B)``,
-    * rows 1.. -> crisis flags ``x < unit_threshold(p)``, the integer form of
-      the simulator's ``unit < p`` (every batch when p == 1),
+    * rows 1.. -> crisis flags ``unit_less(p)``, the simulator's ``unit <
+      p`` on whole arrays of outputs, built once per call,
     * unit t of the horizon lands in batch ``(u + t) // B``; the recalled
       quantity is reduced along the shorter of the order and batch axes:
       cells with O <= B (which come first) by :func:`_batch_axis_recalls`,
@@ -241,9 +242,7 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     """
     # widest horizon over all initial consumptions: ceil((q + b - 1) / b)
     n_batches = (q + 2 * b - 2) // b
-    threshold = unit_threshold(p)
-    # None when p == 1: every output is below 2**64
-    limit = np.uint64(threshold) if threshold < 1 << 64 else None
+    is_crisis = unit_less(p)
     orders = np.array(order_sizes, dtype=np.int64)
     bases = np.asarray(base_seeds, dtype=np.uint64)
     # numpy's row-by-row passes (einsum, take, outer) need a few tens of
@@ -288,10 +287,7 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
                 seeds = derive_seeds(bases[c0:c1, None], trials)
                 x = stream_outputs(seeds.reshape(-1), outputs)
                 u = belows(x[0], b)
-                if limit is None:
-                    crisis = np.ones((len(x) - 1, x.shape[1]), dtype=bool)
-                else:
-                    crisis = x[1:] < limit
+                crisis = is_crisis(x[1:])
                 del x
                 if table is not None:
                     # (cell * B + u) * 2**rows + the pattern's code, in u's
@@ -309,7 +305,7 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
                 else:
                     recalls = _order_axis_recalls(
                         tables, u, crisis,
-                        None if rounds is None else (rounds, seeds, limit))
+                        None if rounds is None else (rounds, seeds, is_crisis))
                 sink(c0, t0, recalls)
                 del recalls  # not kept while the next chunk draws
 
@@ -375,13 +371,14 @@ def _recall_table(tables: _OrderAxis, b: int, q: int,
 
 def _probe_rows(p: float) -> float:
     """Rows of a long order-axis run that every trial draws: the fewest that
-    hold a crisis with probability at least 3/4, ``ceil(ln 4 / -ln(1 - p))``
-    (1 at p = 1). ``math.inf``, which no run exceeds, so that no run is
-    drawn in part, when p = 0 or the count reaches 2**53, more rows than
-    any horizon has."""
-    if p >= 1:
-        return 1
-    rows = math.log(4) / -math.log1p(-p) if p > 0 else math.inf
+    hold a crisis with probability at least 3/4, ``ceil(ln 4 / -ln(1 - p))``,
+    or ``math.inf``, which no run exceeds, so that no run is drawn in part,
+    when the count reaches 2**53, more rows than any horizon has. p is
+    clamped into (0, 1), where both logarithms are finite: the count is
+    already 1 at ``nextafter(1, 0)``, so p = 1 gives 1 row, and infinite at
+    the least positive float, so p = 0 gives ``math.inf``."""
+    p = min(max(p, math.ulp(0)), math.nextafter(1, 0))
+    rows = math.log(4) / -math.log1p(-p)
     return math.ceil(rows) if rows < 2**53 else math.inf
 
 
@@ -437,7 +434,7 @@ def _probe_plan(tables: _OrderAxis, n_batches: int, probe: float,
 
 
 def _finish_long_runs(touched: np.ndarray, rounds: tuple, seeds: np.ndarray,
-                      limit: np.uint64) -> None:
+                      is_crisis: Callable) -> None:
     """Set ``touched[k, i]`` for each long run k of :func:`_probe_plan`
     that holds a crisis in the rows its trial i has not drawn.
 
@@ -445,8 +442,8 @@ def _finish_long_runs(touched: np.ndarray, rounds: tuple, seeds: np.ndarray,
     another, and only for the (order, trial) pairs not yet known to be
     recalled: a flag skipped is a flag of an order already recalled, and
     recall is an OR, so no result changes. ``seeds`` is (cells, trials),
-    and a flag is set where an output is below ``limit``, the call's
-    ``unit_threshold(p)``. Each round's arrays are drawn in slices of at
+    and ``is_crisis`` is the call's ``unit_less(p)``, which decides every
+    flag, at p = 1 too. Each round's arrays are drawn in slices of at
     most a quarter of the long runs' pairs.
     """
     long, owner, nxt, end, probe = rounds
@@ -463,7 +460,7 @@ def _finish_long_runs(touched: np.ndarray, rounds: tuple, seeds: np.ndarray,
             seed, first, last = pending[:3, s:s + cap]
             # rows past the run's end repeat its last row: OR is idempotent
             x = stream_outputs(seed, np.minimum(first + steps, last))
-            hit[s:s + cap] = (x < limit).any(axis=0)
+            hit[s:s + cap] = is_crisis(x).any(axis=0)
         touched[pending[3, hit], pending[4, hit]] = True
         pending[1] += np.uint64(probe)
         hit |= pending[1] > pending[2]
@@ -530,8 +527,9 @@ def _order_axis_recalls(tables: _OrderAxis, u: np.ndarray,
     ``u < B - s % B`` and batch ``e//B + 1`` iff ``u >= B - e % B``. Each
     order reads its always-touched run through :func:`_crisis_in_rows` and
     two crisis rows, in its own cell's block of columns; with ``rounds``
-    (the long runs, seeds and limit of :func:`_finish_long_runs`) the
-    rows drawn hold only part of some runs, and the rest is drawn there.
+    (the long runs, seeds and crisis test of :func:`_finish_long_runs`)
+    the rows drawn hold only part of some runs, and the rest is drawn and
+    tested there.
     ``u`` and ``crisis`` hold the columns of every cell of ``tables`` (one
     whose cells and orders count from 0, such as a :meth:`_OrderAxis.block`),
     cell-major; returns (cells, trials).
@@ -851,11 +849,11 @@ def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
     also gets a Monte Carlo estimate seeded from (base_seed, o, b) and the
     grid-level mean absolute error as a percentage of the quantity. Each
     cell's estimate equals ``estimate_recall`` of that cell alone. The
-    cells of one batch size are simulated together, up to
-    ``max(1, _CHUNK_OUTPUTS // tables)`` of them per :func:`_group_recalls`
-    call, where ``tables`` is the size of one cell's W/S tables,
-    ``(ceil((Q + B - 1) / B) + 1) * min(B, Q)`` words (every order size of
-    ``validate``, whose tables hold at most 192 words, in one call).
+    cells of one batch size are simulated together, one or as many at a
+    time as keep their per-cell tables (about Q + 2B words each) within
+    2**17 words, which takes all 50 order sizes of ``validate`` at once,
+    and every cell's trials are summed as they are drawn: memory does not
+    grow with the trial count.
     """
     return _sweep(*_check_grid(quantity, crisis_prob, order_sizes,
                                batch_sizes),
@@ -887,7 +885,8 @@ def _sweep(q: int, p: float, orders: tuple[int, ...],
                             np.array(orders, dtype=np.uint64))
     for j, b in enumerate(batches):
         # a cell brings W and S tables of (n_batches + 1) * min(B, Q) words
-        # each on the batch axis; its trials are summed as they are drawn
+        # each on the batch axis (at most 192 in validate, so one call per
+        # batch size); its trials are summed as they are drawn
         table = ((q + 2 * b - 2) // b + 1) * min(b, q)
         step = max(1, _CHUNK_OUTPUTS // table)
         for i in range(0, len(orders), step):

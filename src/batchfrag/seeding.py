@@ -12,7 +12,8 @@ chunking. The array form is output-major: row k holds output k of every
 seed, so one output of all trials is a contiguous row. Uniform floats are
 the top 53 bits scaled by 2**-53, so scalar and vectorized paths agree
 exactly, and ``unit_float(x) < p`` can be decided on the raw output with
-the integer ``unit_threshold``.
+the integer ``unit_threshold``, or on an array of outputs with the test
+that ``unit_less`` builds.
 
 Per-trial stream layout used by the simulator:
 
@@ -28,6 +29,7 @@ subset of a sweep recomputes identically on its own.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -96,6 +98,20 @@ def unit_threshold(p: float) -> int:
     every output, when p == 1.
     """
     return math.ceil(p * 2.0**53) << 11
+
+
+def unit_less(p: float) -> partial:
+    """Vectorized ``unit_float(x) < p``, for p in [0, 1]: a function that
+    maps a uint64 array of outputs to an array of its bool flags, built once
+    per p.
+
+    It compares ``x < unit_threshold(p)`` while that threshold fits a
+    uint64, and at p == 1, whose threshold 2**64 is above every output,
+    sets every flag.
+    """
+    # below p = 1 the threshold is at most 2**64 - 2**11
+    return (partial(np.greater, np.uint64(unit_threshold(p))) if p < 1
+            else partial(np.less_equal, np.uint64(0)))
 
 
 def below(x: int, n: int) -> int:

@@ -454,6 +454,10 @@ class TestDeterminismGuard:
         (["validate", "-n", "1000", "--seed", "0", "--out", "out.csv"],
          "8e578a7066d7a22a5ea5dbeaa729e374828224fe21624b78cc60f74f49d0d40a",
          "d51a35e71798944bd4a4610f7098d43df0583eefb570cb311c624e5036ec0860"),
+        # the headline command, at the default 10,000 trials
+        (["validate", "--seed", "0", "--out", "out.csv"],
+         "9a96b0fbaf8f9377a0c90dbda1c2de45511afee528d3dc115b358f4d66d52a7e",
+         "fe4a8aa9e9d63e74450c4153b121ce7d130b1efb4c14dc465d16da1863d14d8d"),
         (["sweep", "-Q", "60", "-p", "0.3", "--order-range", "1:20",
           "--batch-range", "1:30", "-n", "200", "--seed", "7",
           "--out", "out.csv"],
@@ -504,10 +508,18 @@ class TestDeterminismGuard:
           "--out", "out.csv"],
          "10492a541c70cebee65031b416ba165076ed824aff4dd7ccae7f8af86274a0c0",
          "c4e5a65488ed41ac0ac5aa19386cae390c00b5ce05ad5bb2be1caba270fe8aee"),
-    ], ids=["validate", "sweep", "simulate-dump-trial", "analytic",
+        # each batch size's 12 cells bring more W/S table words than one
+        # kernel call takes, so each group runs as two calls
+        (["sweep", "-Q", "20000", "-p", "0.15", "--order-range", "1:12",
+          "--batch-range", "1:3", "-n", "20", "--seed", "1",
+          "--out", "out.csv"],
+         "06a7dc4813f7b4db26ea95eef06e0e9a83aae5aa9a3f48388e713778317c1311",
+         "bb39f9fc2c177b29ed1674fd507aa22175409a6b3b78bdc8fe5d8a17f74a42a3"),
+    ], ids=["validate", "validate-default-trials", "sweep", "simulate-dump-trial", "analytic",
             "fragments", "sweep-analytic-only", "simulate-long-horizon",
             "simulate-surviving-orders", "sweep-probing",
-            "simulate-folded-batch-axis", "sweep-recall-table"])
+            "simulate-folded-batch-axis", "sweep-recall-table",
+            "sweep-split-group"])
     def test_output_digests(self, capsys, tmp_path, monkeypatch, argv,
                             stdout_sha256, file_sha256):
         monkeypatch.chdir(tmp_path)

@@ -25,7 +25,7 @@ from batchfrag.montecarlo import (
     sweep,
     trial_recalls,
 )
-from batchfrag.seeding import derive_seed, derive_seeds
+from batchfrag.seeding import derive_seed, derive_seeds, unit_less
 from batchfrag.simulation import (Batch, Order, TrialConfig, fifo_assign,
                                   measure_recall, run_trial)
 
@@ -51,6 +51,16 @@ _INTEGER_ENTRIES = {
         ModelParams(**_CELL), 5, v)),
 }
 
+
+# Crisis probabilities where a float test can go wrong: 0, 1 and the least
+# float above or below them, every multiple k * 2**-53 (where the integer
+# threshold moves) and the float on either side of it, and any p.
+EDGE_PROBS = st.one_of(
+    st.sampled_from([0.0, 5e-324, math.nextafter(1, 0), 1.0]),
+    st.tuples(st.integers(0, 2**53), st.sampled_from([None, 0.0, 2.0])).map(
+        lambda t: t[0] * 2.0**-53 if t[1] is None
+        else min(1.0, math.nextafter(t[0] * 2.0**-53, t[1]))),
+    st.floats(0.0, 1.0))
 
 def exact_std_error(recalls):
     """sqrt((n*S2 - S1**2) / (n**2 * (n - 1))) of integer recalls, from
@@ -860,9 +870,38 @@ class TestEarlyResolution:
         assert (1 - p) ** rows <= 0.25 < (1 - p) ** (rows - 1)
 
     @pytest.mark.parametrize("p,rows", [(0.0, math.inf), (5e-324, math.inf),
-                                        (1.0, 1)])
+                                        (math.nextafter(1, 0), 1), (1.0, 1)])
     def test_probe_extremes(self, p, rows):
         assert montecarlo._probe_rows(p) == rows
+
+    @given(EDGE_PROBS)
+    def test_probe_rows_match_the_formula(self, p):
+        """The clamp into (0, 1) gives the formula's count everywhere, with
+        its ends taken apart: 1 row at p = 1 and none to probe at p = 0."""
+        if p == 1:
+            rows = 1
+        else:
+            rows = math.log(4) / -math.log1p(-p) if p > 0 else math.inf
+            rows = math.ceil(rows) if rows < 2**53 else math.inf
+        assert montecarlo._probe_rows(p) == rows
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_rounds_decide_every_pending_pair(self, p):
+        """With every (long order, trial) pair of a real plan pending, the
+        rounds find a crisis in each at p = 1 and in none at p = 0."""
+        b, q = 1, 6000
+        tables = montecarlo._order_axis_tables(np.array([100]), b, q)
+        plan = montecarlo._probe_plan(tables.block(0, 1), (q + 2 * b - 2) // b,
+                                      montecarlo._probe_rows(1.0), 64)
+        assert plan is not None
+        _, block, rounds, trials = plan
+        long = rounds[0]
+        assert len(long) == len(block.sizes) == 60
+        touched = np.zeros((len(block.sizes), trials), dtype=bool)
+        seeds = derive_seeds(np.array([[7]], dtype=np.uint64),
+                             np.arange(trials, dtype=np.uint64))
+        montecarlo._finish_long_runs(touched, rounds, seeds, unit_less(p))
+        assert touched.all() if p else not touched.any()
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -979,8 +1018,8 @@ class TestEarlyResolution:
 
 class TestMonotoneInProbability:
     """A trial's stream outputs do not depend on p and a crisis flag is
-    ``x < unit_threshold(p)``, so each trial's recall is nondecreasing in
-    p, whichever way the kernel reduces it."""
+    ``unit_float(x) < p``, so each trial's recall is nondecreasing in p,
+    whichever way the kernel reduces it."""
 
     PROBS = (0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0)
 

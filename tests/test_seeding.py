@@ -1,6 +1,7 @@
 """Counter-based RNG: canonical vectors, random access, and derivation."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from batchfrag.seeding import (
     stream_output,
     stream_outputs,
     unit_float,
+    unit_less,
     unit_threshold,
 )
 
@@ -31,6 +33,16 @@ CANONICAL = {
                          0xB4A0472E578069AE],
 }
 
+
+# Crisis probabilities where a float test can go wrong: 0, 1 and the least
+# float above or below them, every multiple k * 2**-53 (where the integer
+# threshold moves) and the float on either side of it, and any p.
+EDGE_PROBS = st.one_of(
+    st.sampled_from([0.0, 5e-324, math.nextafter(1, 0), 1.0]),
+    st.tuples(st.integers(0, 2**53), st.sampled_from([None, 0.0, 2.0])).map(
+        lambda t: t[0] * 2.0**-53 if t[1] is None
+        else min(1.0, math.nextafter(t[0] * 2.0**-53, t[1]))),
+    st.floats(0.0, 1.0))
 
 class TestStreamOutput:
     @pytest.mark.parametrize("seed", sorted(CANONICAL))
@@ -165,6 +177,23 @@ class TestUnitFloat:
             if thr < 2**64:
                 array_test = np.array([x], dtype=np.uint64) < np.uint64(thr)
                 assert bool(array_test[0]) == (unit_float(x) < p)
+
+    @given(EDGE_PROBS,
+           st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    max_size=10))
+    def test_vectorized_less_matches_scalar(self, p, picks):
+        """unit_less(p) equals unit_float(x) < p element by element at x = 0
+        and 2**64 - 1 and on both sides of the threshold, a few ulp (units
+        of 2**11) and a few units off, for p at 0, 1 and the least float
+        above or below them, and at multiples k * 2**-53 and their
+        neighbours, where the threshold moves."""
+        thr = unit_threshold(p)
+        xs = [0, 2**64 - 1, thr - 1, thr, thr + 1]
+        xs += [thr + (ulps << 11) + units for ulps, units in picks]
+        xs = [min(max(x, 0), 2**64 - 1) for x in xs]
+        flags = unit_less(p)(np.array(xs, dtype=np.uint64))
+        assert flags.dtype == bool
+        assert flags.tolist() == [unit_float(x) < p for x in xs]
 
     def test_threshold_extremes(self):
         assert unit_threshold(0.0) == 0
