@@ -51,7 +51,7 @@ def _probability(text: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(
             f"probability {text!r} outside [0, 1]")
-    return value
+    return abs(value)  # -0 is 0: it prints, and names sweep files, as 0
 
 
 def _probability_list(text: str) -> list[float]:

@@ -81,7 +81,7 @@ def _check_probability(name: str, value) -> float:
         raise InvalidParamsError(f"{name} must be a real number, got {value!r}")
     if not 0.0 <= as_float <= 1.0:
         raise InvalidParamsError(f"{name} must be in [0, 1], got {as_float}")
-    return as_float
+    return abs(as_float)  # -0.0 is 0.0, so that no result prints as -0
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ inputs give byte-identical files.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,11 +44,11 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def write_text(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path`` as UTF-8 with lone line feeds; every file
-    the package writes goes through here."""
+def write_text(path: str | Path, text: str | Iterable[str]) -> Path:
+    """Write ``text``, or each of its chunks in turn, to ``path`` as UTF-8
+    with lone line feeds; every file the package writes goes through here."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
     return Path(path)
 
 
@@ -62,24 +62,109 @@ def _grid_comment(grid: SweepGrid) -> str:
             f" n_trials={n} base_seed={seed} mean_abs_error_pct={err}")
 
 
-# The renderer fills one order row at a time with a single ``%``. A row's
-# template is ``str(o) + ("\n" + str(o)).join(pieces)``, where the pieces,
-# one per batch size, are built once per grid; the row's values (interleaved
-# per cell on simulated grids) come from one ``tolist()``. ``'%.6f' % x`` and
-# ``f"{x:.6f}"`` make the same ``PyOS_double_to_string(x, 'f', 6)`` call, so
-# the bytes are those of per-cell f-strings, and only one string per order
-# size is ever held besides the text itself.
-def _render_long(grid: SweepGrid) -> str:
-    if grid.sim_mean is None:
-        cell, values = ",%.6f,,,", grid.analytic
-    else:
-        cell = ",%.6f,%.6f,%.6f,%.6f"
-        values = np.stack([grid.analytic, grid.sim_mean, grid.abs_error,
-                           grid.ci95_half_width], axis=-1)
-    pieces = [f",{b}{cell}" for b in grid.batch_sizes]
-    rows = [(o + ("\n" + o).join(pieces)) % tuple(row.ravel().tolist())
-            for o, row in zip(map(str, grid.order_sizes), values)]
-    return "\n".join([LONG_CSV_HEADER, *rows, _grid_comment(grid)]) + "\n"
+# Sweep CSVs are rendered block by block. A block is a (bytes x cells) uint8
+# matrix, one contiguous row per byte position of a cell's line, with NUL
+# wherever a field is shorter than its rows: transposed once it holds the
+# lines in order, and one compress drops the NULs. Axis labels are str() of
+# each label, once per grid. A value x is written from the integer
+# N = rint(y), y = x * 1e6, with digits from a three-digit table, wherever N
+# provably equals '%.6f' % x: the sign bit of x is clear, y < 2**51 (so x is
+# finite), and |(y - floor(y)) - 0.5| > 2 * spacing(y). Proof: y lies within
+# spacing(y) / 2 of the exact product x * 10**6 and farther than that from
+# floor(y) + 0.5, the half-integer nearest it. So no half-integer, and no
+# tie, lies between y and the exact product, and both round to N, which is
+# what '%.6f' prints of the binary value. Below 2**51, y - floor(y) and the
+# test are exact. Every other value (ties, negatives, -0.0, nan, inf, and
+# x >= 2**51 / 1e6) gets a _MARK byte, where its '%.6f' % x is spliced in.
+_BLOCK_CELLS = 8192
+_MARK = 1
+# "%03d" of 0..999, one column per number: row i holds every number's digit i
+_DIGITS = np.frombuffer("".join(f"{k:03d}" for k in range(1000)).encode(),
+                        np.uint8).reshape(1000, 3).T.copy()
+
+
+def _label_rows(labels: Sequence[int]) -> np.ndarray:
+    """One column per label: its str() in ASCII, NUL-padded to the longest."""
+    texts = np.array([str(v) for v in labels], dtype=np.bytes_)
+    return texts.view(np.uint8).reshape(len(labels), -1).T.copy()
+
+
+def _micro_units(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """N of each value, whether N prints it exactly, and how many
+    three-digit groups the largest N // 10**6 needs; see the rule above."""
+    with np.errstate(over="ignore"):
+        y = x * 1e6
+    fast = ~np.signbit(x) & (y < 2.0**51)
+    y = np.where(fast, y, 0.0)
+    fast &= np.abs(y - np.floor(y) - 0.5) > 2 * np.spacing(y)
+    micro = np.rint(y).astype(np.int64)
+    return micro, fast, (len(str(micro.max() // 10**6)) + 2) // 3
+
+
+def _put_fixed(rows: np.ndarray, micro: np.ndarray, groups: int) -> None:
+    """Write micro-unit counts into ``rows`` (3 * groups + 7 of them) as
+    fixed-point text with six decimals, leading zeros as NUL."""
+    whole, frac = np.divmod(micro, 10**6)
+    for k in range(groups):
+        np.take(_DIGITS, whole // 1000**(groups - 1 - k) % 1000, axis=1,
+                mode="clip", out=rows[3 * k:3 * k + 3])
+    digits = 3 * groups
+    rows[:digits - 1] *= whole >= 10**np.arange(digits - 1, 0, -1)[:, None]
+    rows[digits] = ord(".")
+    high, low = np.divmod(frac, 1000)
+    np.take(_DIGITS, high, axis=1, mode="clip", out=rows[digits + 1:digits + 4])
+    np.take(_DIGITS, low, axis=1, mode="clip", out=rows[digits + 4:])
+
+
+def _render_cells(columns: list[np.ndarray], orders: np.ndarray,
+                  batches: np.ndarray, tail: bytes, start: int,
+                  stop: int) -> str:
+    """The CSV lines of cells start..stop, counted order-size-major."""
+    o, b = np.divmod(np.arange(start, stop), batches.shape[1])
+    values = [_micro_units(c[start:stop]) for c in columns]
+    rows = (len(orders) + 1 + len(batches) + len(tail)
+            + sum(3 * groups + 8 for *_, groups in values))
+    out = np.empty((rows, stop - start), np.uint8)
+    r = len(orders)
+    np.take(orders, o, axis=1, mode="clip", out=out[:r])
+    out[r] = ord(",")
+    np.take(batches, b, axis=1, mode="clip", out=out[r + 1:r + 1 + len(batches)])
+    r += 1 + len(batches)
+    for micro, fast, groups in values:
+        out[r] = ord(",")
+        field = out[r + 1:r + 3 * groups + 8]
+        _put_fixed(field, micro, groups)
+        if not fast.all():
+            field[:, ~fast] = 0
+            field[0, ~fast] = _MARK
+        r += 3 * groups + 8
+    out[r:] = np.frombuffer(tail, np.uint8)[:, None]
+    text = out.T.tobytes().translate(None, b"\0").decode("ascii")
+    slow = ~np.stack([fast for _, fast, _ in values], axis=1)
+    if not slow.any():
+        return text
+    cells = np.stack([c[start:stop] for c in columns], axis=1)[slow]
+    pieces = text.split(chr(_MARK))
+    pieces[1:] = [s for x, piece in zip(cells.tolist(), pieces[1:])
+                  for s in ("%.6f" % x, piece)]
+    return "".join(pieces)
+
+
+def _render_long(grid: SweepGrid) -> Iterator[str]:
+    """The long CSV of ``grid``, one chunk per block of cells."""
+    yield LONG_CSV_HEADER + "\n"
+    columns = [grid.analytic]
+    tail = b",,,\n"
+    if grid.sim_mean is not None:
+        columns += [grid.sim_mean, grid.abs_error, grid.ci95_half_width]
+        tail = b"\n"
+    columns = [np.asarray(c, dtype=np.float64).ravel() for c in columns]
+    orders = _label_rows(grid.order_sizes)
+    batches = _label_rows(grid.batch_sizes)
+    for start in range(0, columns[0].size, _BLOCK_CELLS):
+        stop = min(start + _BLOCK_CELLS, columns[0].size)
+        yield _render_cells(columns, orders, batches, tail, start, stop)
+    yield _grid_comment(grid) + "\n"
 
 
 def write_sweep(grid: SweepGrid, path: str | Path) -> Path:

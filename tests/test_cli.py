@@ -53,6 +53,15 @@ class TestAnalytic:
         assert code == 2
         assert "crisis-prob" in err
 
+    @pytest.mark.parametrize("flag", [["-p", "-0"], ["--crisis-prob=-0%"]])
+    def test_negative_zero_probability_prints_zero(self, capsys, flag):
+        code, out, _ = run_cli(capsys, "analytic", "-O", "1", "-B", "2",
+                               "-Q", "10", *flag)
+        assert code == 0
+        assert "crisis_prob           0.000000" in out
+        assert "expected_recall_size  0.000000" in out
+        assert "-0.000000" not in out
+
     def test_out_file_mirrors_stdout(self, capsys, tmp_path):
         path = tmp_path / "analytic.txt"
         code, out, _ = run_cli(capsys, "analytic", "-O", "10", "-B", "4",
@@ -178,7 +187,30 @@ class TestSweep:
         for p in ("0.05", "0.15", "0.25"):
             assert (tmp_path / f"fam_p{p}.csv").exists()
 
-    @pytest.mark.parametrize("probs", ["0.15,15%", "0.1234561,0.1234564"])
+    def test_negative_zero_probability_writes_zero(self, capsys, tmp_path):
+        path = tmp_path / "zero.csv"
+        code, out, _ = run_cli(capsys, "sweep", "-Q", "10", "-p", "-0",
+                               "--order-range", "1:2", "--batch-range", "1:2",
+                               "--analytic-only", "--out", str(path))
+        assert code == 0
+        text = path.read_text(encoding="utf-8")
+        assert "1,1,0.000000,,,\n" in text
+        assert " crisis_prob=0.000000 " in text
+        assert "-0.000000" not in text
+
+    def test_negative_zero_probability_names_its_file_p0(self, capsys,
+                                                         tmp_path):
+        code, out, _ = run_cli(capsys, "sweep", "-Q", "10", "--crisis-probs",
+                               "0.1,-0", "--order-range", "1:2",
+                               "--batch-range", "1:2", "--analytic-only",
+                               "--out", str(tmp_path / "fam.csv"))
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fam_p0.1.csv", "fam_p0.csv"]
+        assert "-0.000000" not in (tmp_path / "fam_p0.csv").read_text()
+
+    @pytest.mark.parametrize("probs", ["0.15,15%", "0.1234561,0.1234564",
+                                       "0,-0"])
     def test_colliding_probability_paths_are_usage_error(
             self, capsys, tmp_path, monkeypatch, probs):
         """Probabilities that format alike would write one file twice."""
@@ -546,6 +578,31 @@ class TestDeterminismGuard:
                 "ae65c5bd416abe48527a6f76c8bf1b6cae338c2976c4873449d9caceb7e615de",
             "out_p0.3.csv":
                 "652864156ce97a210beb05f6b8dcba2209ae38dcbfe7a788120ad2a33af47a0c",
+        }
+
+    def test_analytic_surface_family_digests(self, capsys, tmp_path,
+                                             monkeypatch):
+        """The benchmark's analytic-surface sweep: four 50,000-cell grids,
+        each written in several blocks; recorded before the block writer."""
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--analytic-only", "--crisis-probs",
+            "0.042,0.07,0.078,0.14", "-Q", "1000", "--order-range", "1:1000",
+            "--batch-range", "1:50", "--out", "out.csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bd704cb228e89487900dcbcc6e0430b8b06b800949dd9ba9fceb34b69c5c11a4")
+        files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in tmp_path.iterdir()}
+        assert files == {
+            "out_p0.042.csv":
+                "df238d1913aa5f0dfaa0305d89abecb2e2b68fa44882e9c809e85483c7e8a3a8",
+            "out_p0.07.csv":
+                "1c48dd8cd073c06fb93ce181e85535b06968b7c136595c381140c37e8ae4fb78",
+            "out_p0.078.csv":
+                "e1ac36f5571f54101aa1bc5b7ea96e1e876725b91ea9118f43efa12eec11c966",
+            "out_p0.14.csv":
+                "dd3996bb08051200be8e5374fe240fe93b6be1cef4f01dc2301d286b23606b45",
         }
 
     def test_recall_table_family_digests(self, capsys, tmp_path, monkeypatch):

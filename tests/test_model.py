@@ -51,6 +51,10 @@ class TestModelParams:
         with pytest.raises(InvalidParamsError):
             ModelParams(5, 4, 50, p)
 
+    def test_negative_zero_probability_is_zero(self):
+        assert math.copysign(1.0, ModelParams(5, 4, 50, -0.0).crisis_prob) == 1.0
+        assert math.copysign(1.0, recall_limit_batch_inf(50, -0.0)) == 1.0
+
     def test_rejects_boolean_sizes(self):
         with pytest.raises(InvalidParamsError):
             ModelParams(True, 4, 50, 0.1)

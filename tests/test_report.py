@@ -1,11 +1,14 @@
 """Report serialization: CSV layouts, round-trips, byte determinism."""
 
 import csv
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from batchfrag import report
 from batchfrag.model import ModelParams, expected_recall_size
 from batchfrag.montecarlo import EstimateConfig, SweepGrid, estimate_recall, sweep
 from batchfrag.report import (
@@ -143,6 +146,99 @@ class TestLongCsvBytes:
         path = tmp_path_factory.mktemp("grid") / "grid.csv"
         write_sweep(grid, path)
         assert path.read_bytes() == per_cell_long_csv(grid)
+
+
+# A six-decimal tie (k + 0.5) / 1e6 rounds to the double nearest it, and
+# each neighbour of that double lies within a few ulps of a tie, where the
+# product x * 1e6 may round onto the other side of it.
+near_ties = st.builds(
+    lambda k, step: step((k + 0.5) / 1e6),
+    st.integers(0, 2**40),
+    st.sampled_from([lambda x: x,
+                     lambda x: math.nextafter(x, 0.0),
+                     lambda x: math.nextafter(x, math.inf),
+                     lambda x: math.nextafter(math.nextafter(x, 0.0), 0.0),
+                     lambda x: math.nextafter(math.nextafter(x, math.inf),
+                                              math.inf)]))
+# the writer's fixed-point rule applies below x * 1e6 = 2**51
+LIMIT = 2.0**51 / 1e6
+
+
+def neighbours(x, count):
+    """``count`` doubles either side of x, and x."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def analytic_grid_of(values, orders=None, batches=None):
+    """An analytic-only grid holding ``values`` order-size-major."""
+    values = np.asarray(values, dtype=np.float64)
+    batches = batches or tuple(range(1, values.size + 1))
+    orders = orders or tuple(range(1, values.size // len(batches) + 1))
+    return SweepGrid(total_quantity=7, crisis_prob=0.25, order_sizes=orders,
+                     batch_sizes=batches,
+                     analytic=values.reshape(len(orders), len(batches)))
+
+
+class TestFixedPointEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(near_ties, min_size=1, max_size=40))
+    def test_values_at_and_beside_ties(self, values, tmp_path_factory):
+        grid = analytic_grid_of(values)
+        path = tmp_path_factory.mktemp("grid") / "grid.csv"
+        write_sweep(grid, path)
+        assert path.read_bytes() == per_cell_long_csv(grid)
+
+    @pytest.mark.parametrize("x", [LIMIT, LIMIT / 2, LIMIT / 4, 2.0**31])
+    def test_values_around_the_fast_path_limit(self, x, tmp_path):
+        grid = analytic_grid_of(neighbours(x, 40) + neighbours(x + 0.5, 4))
+        write_sweep(grid, tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == per_cell_long_csv(grid)
+
+    def test_axis_labels_past_int64(self, tmp_path):
+        grid = SweepGrid(total_quantity=2**70, crisis_prob=0.5,
+                         order_sizes=(5, 2**63, 2**64 + 1, 10**30),
+                         batch_sizes=(2**63 - 1, 2**63, 3**50),
+                         analytic=np.linspace(0.0, 99.0, 12).reshape(4, 3))
+        write_sweep(grid, tmp_path / "grid.csv")
+        data = (tmp_path / "grid.csv").read_bytes()
+        assert data == per_cell_long_csv(grid)
+        assert b"\n1000000000000000000000000000000,717897987691852588770249," in data
+
+    def test_blocks_split_order_rows(self, tmp_path):
+        """Three blocks and more, whose boundaries fall mid order-row, with
+        values off the fast path on both sides of each boundary."""
+        batches = tuple(range(1, 14))
+        assert report._BLOCK_CELLS % len(batches)
+        size = 3 * report._BLOCK_CELLS + 5 * len(batches)
+        size -= size % len(batches)
+        values = np.arange(size) * 1.0000001 + 0.1234
+        odd = [np.nan, -0.0, 0.0000005, -np.inf, 2.0**60, -1.25]
+        for edge in range(0, size, report._BLOCK_CELLS):
+            for k, x in enumerate(odd):
+                values[(edge - 3 + k) % size] = x
+        grid = analytic_grid_of(values, batches=batches)
+        write_sweep(grid, tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == per_cell_long_csv(grid)
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        """The CSV is written block by block: the writer's peak does not
+        grow with the grid and stays well below the file's size."""
+        peaks = []
+        for orders in (1000, 4000):
+            grid = sweep(4000, 0.07, range(1, orders + 1), range(1, 51),
+                         include_simulation=False)
+            tracemalloc.start()
+            try:
+                write_sweep(grid, tmp_path / "grid.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+        assert peaks[1] < (tmp_path / "grid.csv").stat().st_size / 4
 
 
 class TestFragmentsCurve:
