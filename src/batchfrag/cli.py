@@ -19,9 +19,17 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .model import ModelParams, _check_grid, expected_recall_size
+from .model import (
+    InvalidParamsError,
+    ModelParams,
+    _check_grid,
+    _check_positive_int,
+    _check_probability,
+    expected_recall_size,
+)
 from .montecarlo import EstimateConfig, _sweep, estimate_recall, sweep
 from .report import (
+    _fmt,
     render_analytic,
     render_outcome,
     render_summary,
@@ -38,8 +46,19 @@ class UsageError(Exception):
     """Bad flag or config input; maps to exit status 2."""
 
 
+def _by_model(check, name: str, value):
+    """Apply the model's rule ``check`` to ``value`` under ``name``; its
+    error becomes a parser error, so a flag fails in argparse's usage form
+    and a config value as one ``error:`` line."""
+    try:
+        return check(name, value)
+    except InvalidParamsError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _probability(text: str) -> float:
-    """Parse 0.15 or 15% notation into a probability in [0, 1]."""
+    """Parse 0.15 or 15% notation; the model's probability rule decides
+    the value."""
     s = text.strip()
     try:
         if s.endswith("%"):
@@ -48,10 +67,7 @@ def _probability(text: str) -> float:
             value = float(s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a probability: {text!r}")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"probability {text!r} outside [0, 1]")
-    return abs(value)  # -0 is 0: it prints, and names sweep files, as 0
+    return _by_model(_check_probability, "crisis_prob", value)
 
 
 def _probability_list(text: str) -> list[float]:
@@ -74,9 +90,8 @@ def _int_range(text: str) -> range:
     if not sep:
         raise argparse.ArgumentTypeError(
             f"range must look like a:b, got {text!r}")
-    a, b = _integer(lo), _integer(hi)
-    if a < 1:
-        raise argparse.ArgumentTypeError(f"range start must be >= 1: {text!r}")
+    a = _by_model(_check_positive_int, "range start", _integer(lo))
+    b = _integer(hi)
     if b < a:
         raise argparse.ArgumentTypeError(f"reversed range: {text!r}")
     return range(a, b + 1)
@@ -179,10 +194,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     paths = [out] if len(probs) == 1 else [_per_prob_path(out, p) for p in probs]
     for i, path in enumerate(paths):
         if path in paths[:i]:
-            raise UsageError(f"crisis probabilities {probs[paths.index(path)]!r}"
-                             f" and {probs[i]!r} would both write {path}")
-    # the grid is checked once for the family; each probability has passed
-    # _probability, the same rule the grid check applies to the first
+            raise UsageError(f"--crisis-probs entries {paths.index(path) + 1}"
+                             f" and {i + 1} would both write {path}")
     quantity, _, order_sizes, batch_sizes = _check_grid(
         quantity, probs[0], order_sizes, batch_sizes)
     for prob, path in zip(probs, paths):
@@ -191,7 +204,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_sweep(grid, path)
         print(f"wrote {path}")
         if grid.mean_abs_error_pct is not None:
-            print(f"mean_abs_error_pct {grid.mean_abs_error_pct:.6f}")
+            print(f"mean_abs_error_pct {_fmt(grid.mean_abs_error_pct)}")
     return 0
 
 
@@ -204,7 +217,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.out is not None:
         write_sweep(grid, args.out)
 
-    print(f"validation sweep  quantity={quantity} crisis_prob={prob:.6f}"
+    print(f"validation sweep  quantity={quantity} crisis_prob={_fmt(prob)}"
           f" orders=1..50 batches=1..100 trials={n_trials} seed={seed}")
     ok = True
     for o, b in ((1, 1), (50, 1)):
@@ -218,13 +231,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         tolerance = max(3.0 * se, 5.0 * quantity / n_trials)
         passed = abs(mean - analytic) <= tolerance
         ok = ok and passed
-        print(f"checkpoint order={o} batch={b}  analytic={analytic:.6f}"
-              f"  simulated={mean:.6f}  se={se:.6f}"
+        print(f"checkpoint order={o} batch={b}  analytic={_fmt(analytic)}"
+              f"  simulated={_fmt(mean)}  se={_fmt(se)}"
               f"  {'PASS' if passed else 'FAIL'}")
     threshold = 2.5 if n_trials >= 10_000 else 6.0
     err_ok = grid.mean_abs_error_pct <= threshold
     ok = ok and err_ok
-    print(f"mean_abs_error_pct {grid.mean_abs_error_pct:.6f}"
+    print(f"mean_abs_error_pct {_fmt(grid.mean_abs_error_pct)}"
           f"  threshold {threshold:.1f}  {'PASS' if err_ok else 'FAIL'}")
     print(f"RESULT {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 3

@@ -184,10 +184,8 @@ def recall_probability(params: ModelParams) -> float:
     Uses the generally fractional expectation as the exponent; see
     :func:`recall_probability_exact` for the exact two-point mixture.
     """
-    o, b = params.order_size, params.batch_size
-    (prob,) = _order_crisis_prob(params.crisis_prob,
-                                 np.array([(o + b - 1) / b])).tolist()
-    return prob
+    return recall_size_formula(1, params.order_size, params.batch_size,
+                               params.crisis_prob)  # 1 * prob is exact
 
 
 def recall_probability_exact(params: ModelParams) -> float:

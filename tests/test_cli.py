@@ -2,10 +2,14 @@
 
 import argparse
 import hashlib
+import math
+import re
+import struct
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from batchfrag import cli, model, montecarlo
 from batchfrag.cli import main
@@ -210,10 +214,11 @@ class TestSweep:
         assert "-0.000000" not in (tmp_path / "fam_p0.csv").read_text()
 
     @pytest.mark.parametrize("probs", ["0.15,15%", "0.1234561,0.1234564",
-                                       "0,-0"])
+                                       "0,-0", "0.1,0,-0"])
     def test_colliding_probability_paths_are_usage_error(
             self, capsys, tmp_path, monkeypatch, probs):
-        """Probabilities that format alike would write one file twice."""
+        """Probabilities that format alike would write one file twice; the
+        error names the two entries, here always the last two."""
         def no_grid(*args, **kwargs):
             raise AssertionError("a grid was computed before the check")
 
@@ -222,8 +227,11 @@ class TestSweep:
                                  probs, "--order-range", "1:2",
                                  "--batch-range", "1:2", "-n", "10",
                                  "--out", str(tmp_path / "fam.csv"))
+        entries = probs.count(",") + 1
         assert code == 2
-        assert "error:" in err and "fam_p" in err
+        assert err.startswith(f"error: --crisis-probs entries {entries - 1}"
+                              f" and {entries} would both write ")
+        assert "fam_p" in err
         assert out == ""
         assert not list(tmp_path.iterdir())
 
@@ -440,6 +448,21 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "analytic", "--config", str(cfg))
         assert code == 2
         assert "crisis-prob" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("dump-trial = maybe", "config option dump-trial: not a boolean:"
+                               " 'maybe'"),
+        ("no equals here", "run.cfg:1: expected 'key = value', got"
+                           " 'no equals here'"),
+    ], ids=["not-a-boolean", "no-equals"])
+    def test_malformed_config_line_is_one_error_line(
+            self, capsys, tmp_path, monkeypatch, line, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(line + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "-O", "5", "-B", "3",
+                                 "-Q", "20", "-p", "0.1", "--config",
+                                 "run.cfg")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command, config, flags", [
         ("sweep", "crisis-prob = 2\n",
@@ -661,6 +684,43 @@ class TestFragments:
         assert "--out" in err
 
 
+_SIMULATE = ["-O", "5", "-B", "3", "-Q", "20"]
+_SWEEP = ["-Q", "10", "--batch-range", "1:2", "--analytic-only",
+          "--out", "unwritten.csv"]
+
+# Probabilities at and beside the edges of [0, 1], and percentages of them.
+_PROBABILITY_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                      math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0),
+                      math.nextafter(100.0, 0.0), 100.0,
+                      math.nextafter(100.0, 200.0), math.nan, math.inf,
+                      -math.inf]
+
+
+@given(value=st.floats() | st.floats(-0.5, 1.5) | st.floats(-50.0, 150.0)
+       | st.sampled_from(_PROBABILITY_EDGES),
+       suffix=st.sampled_from(["", "%"]))
+@example(value=-0.0, suffix="")
+@example(value=-0.0, suffix="%")
+@example(value=math.nan, suffix="%")
+@example(value=100.0, suffix="%")
+@example(value=math.nextafter(1.0, 2.0), suffix="")
+def test_probability_flag_applies_the_model_rule(value, suffix):
+    """A probability the CLI parses to v is accepted exactly when
+    ``ModelParams`` accepts v, and both keep the same bits, sign of zero
+    included."""
+    text = repr(value) + suffix  # repr round-trips every float
+    v = value / 100.0 if suffix else value
+    try:
+        expected = model.ModelParams(1, 1, 1, v).crisis_prob
+    except model.InvalidParamsError as exc:
+        with pytest.raises(argparse.ArgumentTypeError, match=re.escape(
+                str(exc))):
+            cli._probability(text)
+    else:
+        got = cli._probability(text)
+        assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+
 class TestParserContract:
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -679,6 +739,34 @@ class TestParserContract:
                 main([cmd, "--help"])
             assert exc.value.code == 0
             assert "--help" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", *_SIMULATE, "-p", "abc"],
+         "argument -p/--crisis-prob: not a probability: 'abc'"),
+        (["simulate", *_SIMULATE, "-p", "1.5"],
+         "argument -p/--crisis-prob: crisis_prob must be in [0, 1], got 1.5"),
+        (["simulate", *_SIMULATE, "-p", "0.1", "-n", "abc"],
+         "argument -n/--trials: not an integer: 'abc'"),
+        (["sweep", *_SWEEP, "--crisis-probs", ","],
+         "argument --crisis-probs: empty probability list"),
+        (["sweep", *_SWEEP, "--crisis-probs", "0.1,nan"],
+         "argument --crisis-probs: crisis_prob must be in [0, 1], got nan"),
+        (["sweep", *_SWEEP, "-p", "0.1", "--order-range", "5"],
+         "argument --order-range: range must look like a:b, got '5'"),
+        (["sweep", *_SWEEP, "-p", "0.1", "--order-range", "0:5"],
+         "argument --order-range: range start must be >= 1, got 0"),
+    ], ids=["not-a-probability", "probability-above-1", "not-an-integer",
+            "empty-probability-list", "nan-in-probability-list",
+            "range-without-colon", "range-start-below-1"])
+    def test_bad_flag_value_is_argparse_usage_error(self, capsys, argv,
+                                                    message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: batchfrag {argv[0]} ")
+        assert captured.err.endswith(f": error: {message}\n")
 
     def test_flag_sets_are_pinned(self):
         """Every subcommand takes the same flags, with the same spellings,

@@ -46,7 +46,7 @@ class TestModelParams:
         with pytest.raises(InvalidParamsError):
             ModelParams(**good)
 
-    @pytest.mark.parametrize("p", [-0.01, 1.01, float("nan")])
+    @pytest.mark.parametrize("p", [-0.01, 1.01, float("nan"), "abc"])
     def test_rejects_bad_probability(self, p):
         with pytest.raises(InvalidParamsError):
             ModelParams(5, 4, 50, p)
