@@ -15,6 +15,7 @@ subcommand is deterministic given its full flag set, including the seed.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -312,6 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      metavar="command")
     for command, (_, help_line, flags) in _COMMANDS.items():
         sub = commands.add_parser(command, help=help_line)
+        # argparse's own pattern reads -1e-300, -5% and -0.1,0.2 as flags,
+        # not as values; any text that starts like a negative number is a
+        # value here, so the model's range rule names it
+        sub._negative_number_matcher = re.compile(r"-\.?\d")
         for name in flags:
             short, convert, default, metavar, help_text = _FLAGS[name]
             spellings = (short, "--" + name) if short else ("--" + name,)

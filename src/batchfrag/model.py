@@ -157,23 +157,27 @@ def expected_fragments(params: ModelParams) -> Fraction:
 
 def _order_crisis_prob(crisis_prob: float, exponents: np.ndarray) -> np.ndarray:
     """P(at least one of e independent batches is in crisis), for every
-    exponent e of a float array ``exponents`` (1-D, or rows of a matrix).
+    exponent e of a float array ``exponents``.
 
     ``1 - (1 - p)**e``, exactly 0 at p = 0 and 1 at p = 1 with no special
     case (``1.0**e == 1.0`` and ``0.0**e == 0.0`` for every e >= 1). At
     e = 1 it returns p itself, because the float round trip 1-(1-p) is not
-    the identity. The powers come from Python's float ``**``, mapped in C
-    over one row at a time (``np.power`` differs from ``**`` by an ulp on
-    some inputs); the subtraction is the same IEEE operation in numpy as
-    in Python.
+    the identity.
+
+    Every value equals Python's ``1 - (1 - p)**e`` bit for bit, by how
+    both powers are built. ``np.float_power``'s float64 loop applies
+    numpy's ``npy_pow``, which is the C library's ``pow`` with no SIMD
+    dispatch (``np.power`` dispatches to SIMD code and differs from ``**``
+    by an ulp on thousands of cells of a 1000 x 50 grid). CPython's
+    ``float_pow`` hands a finite base in [0, 1] and a finite exponent
+    >= 1 to the same ``pow``; its own cases (base 0, base 1, ERANGE on
+    underflow to 0) return what ``pow`` returns. ``pow`` raises the
+    underflow flag on tiny results, where ``**`` returns them silently,
+    so underflow is ignored whatever the caller's ``np.errstate``. The
+    subtraction is the same IEEE operation in numpy as in Python.
     """
-    power = (1.0 - crisis_prob).__pow__
-    powers = np.empty(exponents.shape)
-    width = exponents.shape[-1]
-    for row, exps in zip(powers.reshape(-1, width),
-                         exponents.reshape(-1, width)):
-        row[:] = list(map(power, exps.tolist()))
-    probs = 1.0 - powers
+    with np.errstate(under="ignore"):
+        probs = 1.0 - np.float_power(1.0 - crisis_prob, exponents)
     probs[exponents == 1.0] = crisis_prob
     return probs
 
@@ -235,7 +239,8 @@ def _recall_size_surface(q: int, p: float, order_sizes: tuple[int, ...],
     while ``O + B - 1 <= 2**53`` both operands are exact doubles, so it is
     the same correctly rounded quotient as Python's ``int / int`` (larger
     axes divide Python ints in an object array). :func:`_order_crisis_prob`
-    then maps Python's ``**`` over each row, and Q is applied by one IEEE
+    then raises every cell with one libm ``pow`` call each, the same
+    ``pow`` as Python's ``**``, and Q is applied by one IEEE
     multiplication, the same as ``Q * prob``.
     """
     exact = order_sizes[-1] - 1 + batch_sizes[-1] <= 2**53

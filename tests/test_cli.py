@@ -755,9 +755,27 @@ class TestParserContract:
          "argument --order-range: range must look like a:b, got '5'"),
         (["sweep", *_SWEEP, "-p", "0.1", "--order-range", "0:5"],
          "argument --order-range: range start must be >= 1, got 0"),
+        # values that start like a negative number but are not argparse's
+        # own -1 or -1.5 forms reach the model's rules too
+        (["analytic", *_SIMULATE, "-p", "-1e-300"],
+         "argument -p/--crisis-prob: crisis_prob must be in [0, 1], "
+         "got -1e-300"),
+        (["analytic", *_SIMULATE, "-p", "-5%"],
+         "argument -p/--crisis-prob: crisis_prob must be in [0, 1], "
+         "got -0.05"),
+        (["simulate", *_SIMULATE, "-p", "-.5"],
+         "argument -p/--crisis-prob: crisis_prob must be in [0, 1], "
+         "got -0.5"),
+        (["sweep", *_SWEEP, "--crisis-probs", "-0.1,0.2"],
+         "argument --crisis-probs: crisis_prob must be in [0, 1], got -0.1"),
+        (["sweep", *_SWEEP, "-p", "0.1", "--order-range", "-3:5"],
+         "argument --order-range: range start must be >= 1, got -3"),
     ], ids=["not-a-probability", "probability-above-1", "not-an-integer",
             "empty-probability-list", "nan-in-probability-list",
-            "range-without-colon", "range-start-below-1"])
+            "range-without-colon", "range-start-below-1",
+            "exponent-form-negative-probability", "negative-percentage",
+            "negative-leading-point-probability",
+            "negative-entry-in-probability-list", "negative-range-start"])
     def test_bad_flag_value_is_argparse_usage_error(self, capsys, argv,
                                                     message):
         with pytest.raises(SystemExit) as exc:
@@ -767,6 +785,11 @@ class TestParserContract:
         assert captured.out == ""
         assert captured.err.startswith(f"usage: batchfrag {argv[0]} ")
         assert captured.err.endswith(f": error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "validate"])
+    def test_negative_seed_is_a_value(self, command):
+        args = cli.build_parser().parse_args([command, "--seed", "-5"])
+        assert args.seed == -5
 
     def test_flag_sets_are_pinned(self):
         """Every subcommand takes the same flags, with the same spellings,

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from batchfrag.model import (
     InvalidParamsError,
     ModelParams,
+    _order_crisis_prob,
     expected_fragments,
     expected_recall_size,
     fragment_stats,
@@ -269,6 +270,53 @@ class TestRecallSurface:
         with pytest.raises(InvalidParamsError,
                            match=f"^{re.escape(message)}$"):
             surface(50, 0.15, orders, batches)
+
+    def test_underflow_raises_nothing(self):
+        """0.5**1100 underflows to 0 in libm's pow, as in Python's ``**``;
+        a caller's ``np.errstate(all="raise")`` does not turn it into an
+        error."""
+        with np.errstate(all="raise"):
+            assert expected_recall_size(ModelParams(1100, 1, 1100, 0.5)) \
+                == 1100.0
+            assert surface(1100, 0.5, [1100], [1]).tolist() == [[1100.0]]
+
+
+def python_order_crisis_prob(p, exponents):
+    """Python's own ``1 - (1 - p)**e`` for every e, and p itself at e = 1."""
+    return np.array([p if e == 1.0 else 1 - (1 - p) ** e for e in exponents])
+
+
+_EDGE_PROBS = [0.0, 1.0, 5e-324, 2.0**-53, 2.0**-52, 0.5,
+               1.0 - 2.0**-53, 1.0 - 2.0**-52, 0.15, 0.137, 0.07]
+
+
+class TestOrderCrisisProbAnchor:
+    """``_order_crisis_prob`` against Python's float ``**``, compared as
+    bits: the surface tests compare it only with itself."""
+
+    @pytest.mark.parametrize("p", [0.15, 0.137, 0.07])
+    def test_analytic_surface_grid(self, p):
+        # the 1000 x 50 grid of the analytic-surface sweep; np.power is an
+        # ulp off Python's ** on over 2,000 of its cells at each of these p
+        orders = np.arange(1, 1001, dtype=np.float64)[:, None]
+        batches = np.arange(1, 51, dtype=np.float64)
+        exponents = (orders - 1 + batches) / batches
+        expected = python_order_crisis_prob(p, exponents.ravel().tolist())
+        got = _order_crisis_prob(p, exponents)
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(p=st.sampled_from(_EDGE_PROBS) | st.floats(0.0, 1.0),
+           exponents=st.lists(
+               st.integers(1, 2**53).map(float)
+               | st.tuples(st.integers(1, 2**53), st.integers(1, 2**53))
+                   .map(lambda ob: (ob[0] + ob[1] - 1) / ob[1])
+               | st.floats(1.0, 2.0**60),
+               min_size=1, max_size=64))
+    def test_equals_python_power_bit_for_bit(self, p, exponents):
+        got = _order_crisis_prob(p, np.array(exponents))
+        assert got.tobytes() == python_order_crisis_prob(
+            p, exponents).tobytes()
 
 
 class TestLimits:
