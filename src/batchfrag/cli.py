@@ -313,10 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      metavar="command")
     for command, (_, help_line, flags) in _COMMANDS.items():
         sub = commands.add_parser(command, help=help_line)
-        # argparse's own pattern reads -1e-300, -5% and -0.1,0.2 as flags,
-        # not as values; any text that starts like a negative number is a
-        # value here, so the model's range rule names it
-        sub._negative_number_matcher = re.compile(r"-\.?\d")
+        # argparse's own pattern reads -1e-300, -5%, -0.1,0.2 and -inf as
+        # flags, not as values; any text that starts like a negative number
+        # is a value here, so the model's range rule names it. argparse
+        # matches a flag's prefix first, so -nan stays -n an where there
+        # is a -n flag
+        sub._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)",
+                                                  re.IGNORECASE)
         for name in flags:
             short, convert, default, metavar, help_text = _FLAGS[name]
             spellings = (short, "--" + name) if short else ("--" + name,)

@@ -44,11 +44,20 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def write_text(path: str | Path, text: str | Iterable[str]) -> Path:
-    """Write ``text``, or each of its chunks in turn, to ``path`` as UTF-8
-    with lone line feeds; every file the package writes goes through here."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
+def write_text(path: str | Path,
+               text: str | bytes | Iterable[str | bytes]) -> Path:
+    """Write ``text``, or each of its chunks in turn, to ``path``; every
+    file the package writes goes through here.
+
+    A chunk may be str or bytes: bytes are written as they are, str as
+    UTF-8, and no line ending is translated, so the file holds lone line
+    feeds wherever the text does.
+    """
+    with open(path, "wb") as fh:
+        for chunk in [text] if isinstance(text, (str, bytes)) else text:
+            fh.write(chunk if isinstance(chunk, bytes)
+                     else chunk.encode("utf-8"))
+            del chunk  # hold one chunk, not two, while the next is made
     return Path(path)
 
 
@@ -65,17 +74,26 @@ def _grid_comment(grid: SweepGrid) -> str:
 # Sweep CSVs are rendered block by block. A block is a (bytes x cells) uint8
 # matrix, one contiguous row per byte position of a cell's line, with NUL
 # wherever a field is shorter than its rows: transposed once it holds the
-# lines in order, and one compress drops the NULs. Axis labels are str() of
+# lines in order, and one translate drops the NULs. Axis labels are str() of
 # each label, once per grid. A value x is written from the integer
 # N = rint(y), y = x * 1e6, with digits from a three-digit table, wherever N
 # provably equals '%.6f' % x: the sign bit of x is clear, y < 2**51 (so x is
-# finite), and |(y - floor(y)) - 0.5| > 2 * spacing(y). Proof: y lies within
-# spacing(y) / 2 of the exact product x * 10**6 and farther than that from
-# floor(y) + 0.5, the half-integer nearest it. So no half-integer, and no
-# tie, lies between y and the exact product, and both round to N, which is
-# what '%.6f' prints of the binary value. Below 2**51, y - floor(y) and the
-# test are exact. Every other value (ties, negatives, -0.0, nan, inf, and
-# x >= 2**51 / 1e6) gets a _MARK byte, where its '%.6f' % x is spliced in.
+# finite), and |(y - floor(y)) - 0.5| > 2 * spacing(m), m the largest y of
+# the block's column once the y of each value failing the first two tests
+# is set to 0. Proof: spacing is nondecreasing on [0, inf), so
+# spacing(y) <= spacing(m), and y lies within spacing(y) / 2 of the exact
+# product x * 10**6 and farther than that from floor(y) + 0.5, the
+# half-integer nearest it. So no half-integer, and no tie, lies between y
+# and the exact product, and both round to N, which is what '%.6f' prints
+# of the binary value. Below 2**51, y - floor(y) and the test are exact.
+# Every other value (ties, negatives, -0.0, nan, inf, and x >= 2**51 / 1e6)
+# gets a _MARK byte, where b'%.6f' % x is spliced in. One bound per column
+# costs one spacing call, not one per cell, and can only send more values
+# to '%.6f'. The integer part has exactly as many rows as the column's
+# largest N // 10**6 has digits. Digits are split off with // by a Python
+# int, which numpy runs through libdivide; its % and divmod do not use it
+# and cost about three times as much, so a remainder is taken as
+# a - (a // d) * d.
 _BLOCK_CELLS = 8192
 _MARK = 1
 # "%03d" of 0..999, one column per number: row i holds every number's digit i
@@ -90,69 +108,77 @@ def _label_rows(labels: Sequence[int]) -> np.ndarray:
 
 
 def _micro_units(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """N of each value, whether N prints it exactly, and how many
-    three-digit groups the largest N // 10**6 needs; see the rule above."""
+    """N of each value, whether N prints it exactly, and how many digits
+    the largest N // 10**6 has; see the rule above."""
     with np.errstate(over="ignore"):
         y = x * 1e6
     fast = ~np.signbit(x) & (y < 2.0**51)
     y = np.where(fast, y, 0.0)
-    fast &= np.abs(y - np.floor(y) - 0.5) > 2 * np.spacing(y)
+    fast &= np.abs(y - np.floor(y) - 0.5) > 2 * np.spacing(y.max())
     micro = np.rint(y).astype(np.int64)
-    return micro, fast, (len(str(micro.max() // 10**6)) + 2) // 3
+    return micro, fast, len(str(micro.max() // 10**6))
 
 
-def _put_fixed(rows: np.ndarray, micro: np.ndarray, groups: int) -> None:
-    """Write micro-unit counts into ``rows`` (3 * groups + 7 of them) as
+def _put_fixed(rows: np.ndarray, micro: np.ndarray, digits: int) -> None:
+    """Write micro-unit counts into ``rows`` (digits + 7 of them) as
     fixed-point text with six decimals, leading zeros as NUL."""
-    whole, frac = np.divmod(micro, 10**6)
-    for k in range(groups):
-        np.take(_DIGITS, whole // 1000**(groups - 1 - k) % 1000, axis=1,
-                mode="clip", out=rows[3 * k:3 * k + 3])
-    digits = 3 * groups
+    whole = micro // 10**6
+    frac = micro - whole * 10**6
+    rest = whole
+    for k in range(digits - 3, 0, -3):  # three-digit groups, lowest first
+        high = rest // 1000
+        np.take(_DIGITS, rest - high * 1000, axis=1, mode="clip",
+                out=rows[k:k + 3])
+        rest = high
+    top = (digits - 1) % 3 + 1  # digits of the highest group
+    np.take(_DIGITS[3 - top:], rest, axis=1, mode="clip", out=rows[:top])
     rows[:digits - 1] *= whole >= 10**np.arange(digits - 1, 0, -1)[:, None]
     rows[digits] = ord(".")
-    high, low = np.divmod(frac, 1000)
+    high = frac // 1000
     np.take(_DIGITS, high, axis=1, mode="clip", out=rows[digits + 1:digits + 4])
-    np.take(_DIGITS, low, axis=1, mode="clip", out=rows[digits + 4:])
+    np.take(_DIGITS, frac - high * 1000, axis=1, mode="clip",
+            out=rows[digits + 4:])
 
 
 def _render_cells(columns: list[np.ndarray], orders: np.ndarray,
                   batches: np.ndarray, tail: bytes, start: int,
-                  stop: int) -> str:
+                  stop: int) -> bytes:
     """The CSV lines of cells start..stop, counted order-size-major."""
-    o, b = np.divmod(np.arange(start, stop), batches.shape[1])
+    b = np.arange(start, stop)
+    o = b // batches.shape[1]
+    b -= o * batches.shape[1]
     values = [_micro_units(c[start:stop]) for c in columns]
     rows = (len(orders) + 1 + len(batches) + len(tail)
-            + sum(3 * groups + 8 for *_, groups in values))
+            + sum(digits + 8 for *_, digits in values))
     out = np.empty((rows, stop - start), np.uint8)
     r = len(orders)
     np.take(orders, o, axis=1, mode="clip", out=out[:r])
     out[r] = ord(",")
     np.take(batches, b, axis=1, mode="clip", out=out[r + 1:r + 1 + len(batches)])
     r += 1 + len(batches)
-    for micro, fast, groups in values:
+    for micro, fast, digits in values:
         out[r] = ord(",")
-        field = out[r + 1:r + 3 * groups + 8]
-        _put_fixed(field, micro, groups)
+        field = out[r + 1:r + digits + 8]
+        _put_fixed(field, micro, digits)
         if not fast.all():
             field[:, ~fast] = 0
             field[0, ~fast] = _MARK
-        r += 3 * groups + 8
+        r += digits + 8
     out[r:] = np.frombuffer(tail, np.uint8)[:, None]
-    text = out.T.tobytes().translate(None, b"\0").decode("ascii")
-    slow = ~np.stack([fast for _, fast, _ in values], axis=1)
-    if not slow.any():
+    text = out.T.tobytes().translate(None, b"\0")
+    if all(fast.all() for _, fast, _ in values):
         return text
+    slow = ~np.stack([fast for _, fast, _ in values], axis=1)
     cells = np.stack([c[start:stop] for c in columns], axis=1)[slow]
-    pieces = text.split(chr(_MARK))
+    pieces = text.split(bytes([_MARK]))
     pieces[1:] = [s for x, piece in zip(cells.tolist(), pieces[1:])
-                  for s in ("%.6f" % x, piece)]
-    return "".join(pieces)
+                  for s in (b"%.6f" % x, piece)]
+    return b"".join(pieces)
 
 
-def _render_long(grid: SweepGrid) -> Iterator[str]:
+def _render_long(grid: SweepGrid) -> Iterator[bytes]:
     """The long CSV of ``grid``, one chunk per block of cells."""
-    yield LONG_CSV_HEADER + "\n"
+    yield (LONG_CSV_HEADER + "\n").encode()
     columns = [grid.analytic]
     tail = b",,,\n"
     if grid.sim_mean is not None:
@@ -164,7 +190,7 @@ def _render_long(grid: SweepGrid) -> Iterator[str]:
     for start in range(0, columns[0].size, _BLOCK_CELLS):
         stop = min(start + _BLOCK_CELLS, columns[0].size)
         yield _render_cells(columns, orders, batches, tail, start, stop)
-    yield _grid_comment(grid) + "\n"
+    yield (_grid_comment(grid) + "\n").encode()
 
 
 def write_sweep(grid: SweepGrid, path: str | Path) -> Path:

@@ -770,12 +770,29 @@ class TestParserContract:
          "argument --crisis-probs: crisis_prob must be in [0, 1], got -0.1"),
         (["sweep", *_SWEEP, "-p", "0.1", "--order-range", "-3:5"],
          "argument --order-range: range start must be >= 1, got -3"),
+        (["analytic", *_SIMULATE, "-p", "-inf"],
+         "argument -p/--crisis-prob: crisis_prob must be in [0, 1], "
+         "got -inf"),
+        (["simulate", *_SIMULATE, "-p", "-Infinity"],
+         "argument -p/--crisis-prob: crisis_prob must be in [0, 1], "
+         "got -inf"),
+        (["sweep", *_SWEEP, "--crisis-probs", "-inf,0.2"],
+         "argument --crisis-probs: crisis_prob must be in [0, 1], got -inf"),
+        (["analytic", *_SIMULATE, "-p", "-nan"],
+         "argument -p/--crisis-prob: crisis_prob must be in [0, 1], "
+         "got nan"),
+        (["simulate", *_SIMULATE, "--crisis-prob=-nan"],
+         "argument -p/--crisis-prob: crisis_prob must be in [0, 1], "
+         "got nan"),
     ], ids=["not-a-probability", "probability-above-1", "not-an-integer",
             "empty-probability-list", "nan-in-probability-list",
             "range-without-colon", "range-start-below-1",
             "exponent-form-negative-probability", "negative-percentage",
             "negative-leading-point-probability",
-            "negative-entry-in-probability-list", "negative-range-start"])
+            "negative-entry-in-probability-list", "negative-range-start",
+            "negative-infinite-probability", "negative-infinity-spelled-out",
+            "negative-infinity-in-probability-list",
+            "negative-nan-probability", "negative-nan-after-equals"])
     def test_bad_flag_value_is_argparse_usage_error(self, capsys, argv,
                                                     message):
         with pytest.raises(SystemExit) as exc:
@@ -785,6 +802,20 @@ class TestParserContract:
         assert captured.out == ""
         assert captured.err.startswith(f"usage: batchfrag {argv[0]} ")
         assert captured.err.endswith(f": error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", *_SIMULATE, "-p", "-nan"],
+        ["sweep", *_SWEEP, "-p", "-nan"],
+        ["validate", "-p", "-nan"],
+    ], ids=["simulate", "sweep", "validate"])
+    def test_negative_nan_beside_a_trials_flag_is_usage_error(self, capsys,
+                                                              argv):
+        """argparse matches -nan as -n an before any value pattern, where
+        the subcommand has -n; the run still stops with a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "validate"])
     def test_negative_seed_is_a_value(self, command):

@@ -183,6 +183,28 @@ def analytic_grid_of(values, orders=None, batches=None):
                      analytic=values.reshape(len(orders), len(batches)))
 
 
+def simulated_grid_of(analytic, sim_mean, abs_error, std_error):
+    """A simulated one-row grid holding the four columns given."""
+    analytic, sim_mean, abs_error, std_error = (
+        np.asarray(c, dtype=np.float64).reshape(1, -1)
+        for c in (analytic, sim_mean, abs_error, std_error))
+    return SweepGrid(total_quantity=7, crisis_prob=0.25, order_sizes=(3,),
+                     batch_sizes=tuple(range(1, analytic.size + 1)),
+                     analytic=analytic, sim_mean=sim_mean, abs_error=abs_error,
+                     std_error=std_error, mean_abs_error_pct=1.5, n_trials=9,
+                     base_seed=4)
+
+
+# Values with every count of integer digits from 1 to 10, with zeros inside
+# and at the ends of three-digit groups, all on the fast path: each product
+# x * 1e6 is exact and below 2**50, so 2 * spacing of the largest is 0.25.
+# (In a block whose largest product lies from 2**50 to the 2**51 limit,
+# 2 * spacing is 0.5 and no value is fast.)
+DIGIT_COUNTS = [0.0, 0.5] + [v for d in range(1, 11) for v in (
+    10**(d - 1) + 0.25, min(10**d - 1, 1125899906) + 0.125,
+    10**(d - 1) + 10**((d - 1) // 2) + 0.75)]
+
+
 class TestFixedPointEdges:
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(near_ties, min_size=1, max_size=40))
@@ -224,6 +246,48 @@ class TestFixedPointEdges:
         write_sweep(grid, tmp_path / "grid.csv")
         assert (tmp_path / "grid.csv").read_bytes() == per_cell_long_csv(grid)
 
+    @pytest.mark.parametrize("simulated", [False, True],
+                             ids=["analytic-only", "simulated"])
+    def test_every_integer_digit_count_in_one_block(self, simulated,
+                                                    tmp_path):
+        """One block holds integer parts of 1 to 10 digits, so all but the
+        longest have leading zeros to drop."""
+        values = np.array(DIGIT_COUNTS)
+        assert report._micro_units(values)[1].all()
+        grid = (simulated_grid_of(values, values[::-1], values, values / 8)
+                if simulated else analytic_grid_of(values))
+        write_sweep(grid, tmp_path / "grid.csv")
+        data = (tmp_path / "grid.csv").read_bytes()
+        assert data == per_cell_long_csv(grid)
+        assert b",1125899906.125000," in data and b",1.250000," in data
+
+    @pytest.mark.parametrize("x", [9.9999995, 999.9999996, 99999.9999999])
+    @pytest.mark.parametrize("simulated", [False, True],
+                             ids=["analytic-only", "simulated"])
+    def test_rounding_into_an_extra_digit(self, x, simulated, tmp_path):
+        """The largest value rounds up to a power of ten: its integer part
+        has one digit more than the value's own."""
+        values = [x, 1.5, x / 10, 0.25]
+        grid = (simulated_grid_of(values, values, values[::-1], values)
+                if simulated else analytic_grid_of(values))
+        write_sweep(grid, tmp_path / "grid.csv")
+        data = (tmp_path / "grid.csv").read_bytes()
+        assert data == per_cell_long_csv(grid)
+        assert f",{x:.6f},".encode() in data
+
+    def test_fast_column_beside_a_column_with_a_tie(self, tmp_path):
+        """A simulated block whose analytic column is all on the fast path
+        and whose mean column holds a six-decimal tie (3 / 128)."""
+        analytic = [1.25, 20.5, 300.125]
+        assert report._micro_units(np.array(analytic))[1].all()
+        grid = simulated_grid_of(analytic, [0.5, 3 / 128, 7.0],
+                                 [0.75, 0.25, 1.5], [0.0, 0.125, 2.0])
+        assert not report._micro_units(grid.sim_mean.ravel())[1].all()
+        write_sweep(grid, tmp_path / "grid.csv")
+        data = (tmp_path / "grid.csv").read_bytes()
+        assert data == per_cell_long_csv(grid)
+        assert b"\n3,2,20.500000,0.023438,0.250000,0.245000\n" in data
+
     def test_memory_is_bounded_by_the_block(self, tmp_path):
         """The CSV is written block by block: the writer's peak does not
         grow with the grid and stays well below the file's size."""
@@ -239,6 +303,30 @@ class TestFixedPointEdges:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0]
         assert peaks[1] < (tmp_path / "grid.csv").stat().st_size / 4
+
+
+def text_mode_write(path, chunks):
+    """Text-mode writing, UTF-8 with no newline translation: the
+    reference for write_text."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(chunks)
+
+
+class TestWriteText:
+    @pytest.mark.parametrize("text, chunks", [
+        ("a,b\r\n\u00e9\u20ac\n", ["a,b\r\n\u00e9\u20ac\n"]),
+        (b"1,2\n3,4\n", ["1,2\n3,4\n"]),
+        (["# \u03bb=0.5\n", b"1,2,3.000000\n", "", b"", "\U0001f600 x\r\n"],
+         ["# \u03bb=0.5\n", "1,2,3.000000\n", "", "", "\U0001f600 x\r\n"]),
+    ], ids=["str", "bytes", "mixed-chunks"])
+    def test_same_bytes_as_text_mode(self, text, chunks, tmp_path):
+        """str chunks are UTF-8 with no newline translation and bytes
+        chunks are written as they are: the bytes text mode writes for
+        the same text."""
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        assert report.write_text(new, text) == new
+        text_mode_write(old, chunks)
+        assert new.read_bytes() == old.read_bytes()
 
 
 class TestFragmentsCurve:
