@@ -56,8 +56,9 @@ Z98 = 2.326
 # (seeds, draws, table indices, sums); a chunk that draws long runs
 # in part (see _probe_plan) takes fewer outputs and counts its round arrays
 # in the same budget. Chunks this small stay close to a core's cache, and
-# memory does not grow with the trial count or the grid. A sweep also caps
-# each kernel call at this many words in each batch-axis table.
+# memory does not grow with the trial count or the grid. A chunk also holds
+# no more cells than keep each of its batch-axis tables within this many
+# words.
 _CHUNK_OUTPUTS = 1 << 17
 
 # A kernel call reads its recalls from a _recall_table when the horizon has
@@ -197,18 +198,19 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
       cells with O <= B (which come first) by :func:`_batch_axis_recalls`,
       the rest by :func:`_order_axis_recalls`.
 
-    Off the table path (below), the batch-axis cells' W and S tables are
-    built once per call, as one :class:`_BatchAxis` that carries both
-    per-call decisions: S is None when it is all zeros (as at O = 1), which
-    drops the straddle term, and the tables are folded when their rows
-    repeat. They repeat with the lcm of the cells' periods ``O / gcd(O,
-    B)`` from row 1 until the end of the horizon or the last order changes
-    them; :func:`_batch_axis_fold` reads off that span with one comparison
-    of W against itself a period later (S repeats wherever W does). Where
-    it holds at least two periods, every chunk counts its crisis flags per
+    Off the table path (below), each range of batch-axis cells (the cells
+    of a chunk, see below) builds the W and S tables of its own cells, as
+    one :class:`_BatchAxis` that carries both of the range's decisions: S
+    is None when it is all zeros (as at O = 1), which drops the straddle
+    term, and the tables are folded when their rows repeat. They repeat
+    with the lcm of the cells' periods ``O / gcd(O, B)`` from row 1 until
+    the end of the horizon or the last order changes them;
+    :func:`_batch_axis_fold` reads off that span with one comparison of W
+    against itself a period later (S repeats wherever W does). Where it
+    holds at least two periods, each chunk counts its crisis flags per
     residue class over the span and weighs the counts by one period of
     rows, which adds up the same integers as weighing every flag by its own
-    row, so the recalls are unchanged. Other calls weigh every flag by its
+    row, so the recalls are unchanged. Other ranges weigh every flag by its
     own row.
 
     On a short horizon (at most ``_TABLE_ROWS`` batches) with enough trials
@@ -224,21 +226,23 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
 
     Columns are processed in chunks with a working set of about
     ``_CHUNK_OUTPUTS`` words (more on horizons past 4096 batches): whole
-    cells at a time when a cell's trials fit, else an equal part of one
-    cell, whose trials are cut into the nearest whole number of chunks
-    (so a chunk holds 3/4 to 3/2 of the budget). Chunks are cut where the
-    batch axis ends, so each chunk's cells share one axis, and each chunk
+    cells at a time when a cell's trials fit, as many as keep W and S
+    (``(n_batches + 1) * min(B, Q)`` words a cell each) within the same
+    budget, else an equal part of one cell, whose trials are cut into the
+    nearest whole number of chunks (so a chunk holds 3/4 to 3/2 of the
+    budget). Chunks are cut where the batch axis ends, so each chunk's cells
+    share one axis. A range of cells drops the last range's tables, builds
+    its own (W and S, or order tables and their :func:`_probe_plan`), and
     makes one reduction (or one table lookup, which reads every cell) and
-    one ``sink`` call. Every chunk draws its stream outputs from a column
-    of output indices: all ``n_batches + 1`` rows, a column built once per
-    call, unless :func:`_probe_plan` returns a plan for the
-    :meth:`_OrderAxis.block` of an order-axis chunk's cells (sliced once
-    per range of cells). Then the chunk draws the rows the plan lists, the
+    one ``sink`` call per chunk of its trials. Every chunk draws its stream
+    outputs from a column of output indices: all ``n_batches + 1`` rows, a
+    column built once per call, unless the range's cells are on the order
+    axis and have a plan. Then the chunk draws the rows the plan lists, the
     rest of its cells' long runs only for trials whose order is not yet
-    recalled, and its width is sized from those rows. Memory beyond the
-    per-cell tables and what the sink keeps therefore grows with neither n
-    nor the grid (``sweep`` bounds the tables by the cells it passes); the
-    recalls are exact integers, so chunking cannot change them.
+    recalled, and its width is sized from those rows. An order-axis cell
+    has fewer orders than its horizon has batches, so memory beyond one
+    cell's tables and what the sink keeps grows with neither n nor the
+    grid; the recalls are exact integers, so chunking cannot change them.
     """
     # widest horizon over all initial consumptions: ceil((q + b - 1) / b)
     n_batches = (q + 2 * b - 2) // b
@@ -249,12 +253,14 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     # columns to run at speed, so horizons past 4096 batches keep chunks
     # _CHUNK_OUTPUTS / 4096 columns wide, and the table grows with Q instead
     columns = max(1, _CHUNK_OUTPUTS // min(n_batches + 11, 4096))
-    cells_per_chunk = max(1, columns // n)
+    cells_per_chunk = max(1, min(columns // n, _CHUNK_OUTPUTS // (
+        (n_batches + 1) * min(b, q))))
     # a cell wider than a chunk is cut into the nearest whole number of equal
     # chunks, 3/4 to 3/2 of the budget wide: a last chunk of a few hundred
     # trials would cost the fixed numpy calls of a full one
     trials_per_chunk = -(-n // max(1, round(n / columns)))
     table = None
+    split = int(np.searchsorted(orders, b, side="right"))
     if (n_batches <= _TABLE_ROWS and b << n_batches <= n
             and len(orders) * b << n_batches <= _CHUNK_OUTPUTS // 4):
         # every cell from its order masks; the order tables are not kept
@@ -264,12 +270,6 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
         offsets = np.arange(0, len(orders) * b, b)[:, None]  # cell * B
         axes = ((0, len(orders)),)  # one lookup reads every cell
     else:
-        split = int(np.searchsorted(orders, b, side="right"))
-        if split:  # W and S have min(B, Q) columns even for no cell
-            batch_axis = _batch_axis_tables(orders[:split], b, q, n_batches)
-            batch_axis = _batch_axis_fold(orders[:split], b, batch_axis,
-                                          cells_per_chunk * trials_per_chunk)
-        order_axis = _order_axis_tables(orders[split:], b, q)
         axes = ((0, split), (split, len(orders)))
     every_row = np.arange(n_batches + 1, dtype=np.uint64)[:, None]
     probe = _probe_rows(p)
@@ -277,8 +277,14 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
         for c0 in range(first, last, cells_per_chunk):
             c1 = min(last, c0 + cells_per_chunk)
             outputs, rounds, width = every_row, None, trials_per_chunk
-            if table is None and c0 >= split:
-                tables = order_axis.block(c0 - split, c1 - split)
+            tables = plan = None  # the last range's, dropped before the build
+            if table is None and c0 < split:
+                tables = _batch_axis_fold(
+                    orders[c0:c1], b,
+                    _batch_axis_tables(orders[c0:c1], b, q, n_batches),
+                    (c1 - c0) * trials_per_chunk)
+            elif table is None:
+                tables = _order_axis_tables(orders[c0:c1], b, q)
                 plan = _probe_plan(tables, n_batches, probe, n)
                 if plan is not None:
                     outputs, tables, rounds, width = plan
@@ -299,9 +305,8 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
                                     ).reshape(c1 - c0, -1)
                     recalls = table.take(at)
                 elif c0 < split:
-                    recalls = _batch_axis_recalls(
-                        batch_axis, b, q, np.arange(c0, c1), u, crisis
-                    ).reshape(c1 - c0, -1)
+                    recalls = _batch_axis_recalls(tables, b, q, u, crisis
+                                                  ).reshape(c1 - c0, -1)
                 else:
                     recalls = _order_axis_recalls(
                         tables, u, crisis,
@@ -384,13 +389,13 @@ def _probe_rows(p: float) -> float:
 
 def _probe_plan(tables: _OrderAxis, n_batches: int, probe: float,
                 n: int) -> tuple | None:
-    """What the chunks of the cells of ``tables`` (an
-    :meth:`_OrderAxis.block`), n trials each, draw when each run longer than
-    ``4 * probe`` rows is drawn only in part for every trial.
+    """What the chunks of the cells of ``tables`` (a range of order-axis
+    cells), n trials each, draw when each run longer than ``4 * probe``
+    rows is drawn only in part for every trial.
 
     The plan draws row 0 and the rows of every order's head and tail, of
     every short run, and of the first ``probe`` rows of every long run.
-    Every long run ends in rounds, even where other orders of the block
+    Every long run ends in rounds, even where other orders of the range
     read its other rows: the rounds draw those again, and recall is an OR.
     Returns None, for chunks that draw every row, when no run is long, or
     when a chunk would skip fewer than ``_CHUNK_OUTPUTS`` stream outputs:
@@ -475,10 +480,10 @@ class _OrderAxis(NamedTuple):
     ``head`` and ``tail``; the tail row is clamped to the horizon, which it
     passes only when ``e % B == 0``, where it is never read) and its
     always-touched run ``s//B + 1 .. e//B`` (rows [head + 1, stop)).
-    A kernel chunk reads the :meth:`block` of its own cells, and
-    :func:`_probe_plan` replaces each row of a block by its position among
-    the rows its chunks draw; the head row is always drawn, so the run
-    still starts at ``head + 1``."""
+    Each range of order-axis cells in a kernel call builds the tables of
+    its own cells, and :func:`_probe_plan` replaces each of their rows by
+    its position among the rows the range's chunks draw; the head row is
+    always drawn, so the run still starts at ``head + 1``."""
 
     sizes: np.ndarray     # units in each order
     cell: np.ndarray      # the cell of each order
@@ -488,18 +493,6 @@ class _OrderAxis(NamedTuple):
     stop: np.ndarray
     head_lim: np.ndarray  # the head batch is touched iff u < head_lim
     tail_lim: np.ndarray  # the tail batch is touched iff u >= tail_lim
-
-    def block(self, lo: int, hi: int) -> _OrderAxis:
-        """The tables of cells [lo, hi), renumbered from cell 0 and order 0:
-        views of the order columns, an int32 copy of ``cell`` and a copy of
-        ``first``."""
-        orders = slice(self.first[lo], self.first[hi])
-        return _OrderAxis(
-            self.sizes[orders], np.subtract(self.cell[orders], lo,
-                                            dtype=np.int32),
-            self.first[lo:hi + 1] - self.first[lo], self.head[orders],
-            self.tail[orders], self.stop[orders], self.head_lim[orders],
-            self.tail_lim[orders])
 
 
 def _order_axis_tables(order_sizes: np.ndarray, b: int, q: int) -> _OrderAxis:
@@ -530,8 +523,7 @@ def _order_axis_recalls(tables: _OrderAxis, u: np.ndarray,
     (the long runs, seeds and crisis test of :func:`_finish_long_runs`)
     the rows drawn hold only part of some runs, and the rest is drawn and
     tested there.
-    ``u`` and ``crisis`` hold the columns of every cell of ``tables`` (one
-    whose cells and orders count from 0, such as a :meth:`_OrderAxis.block`),
+    ``u`` and ``crisis`` hold the columns of every cell of ``tables``,
     cell-major; returns (cells, trials).
     """
     sizes, cell, first, head, tail, stop, head_lim, tail_lim = tables
@@ -643,8 +635,8 @@ def _batch_axis_tables(order_sizes: np.ndarray, b: int, q: int,
     return _BatchAxis(end[1:], straddle if straddle.any() else None, 0, 0, 0)
 
 
-def _batch_axis_recalls(axis: _BatchAxis, b: int, q: int, cells: np.ndarray,
-                        u: np.ndarray, crisis: np.ndarray) -> np.ndarray:
+def _batch_axis_recalls(axis: _BatchAxis, b: int, q: int, u: np.ndarray,
+                        crisis: np.ndarray) -> np.ndarray:
     """Recalls reduced batch by batch, for orders no longer than batches.
 
     Every order then touches one batch or two adjacent ones, so by
@@ -652,9 +644,9 @@ def _batch_axis_recalls(axis: _BatchAxis, b: int, q: int, cells: np.ndarray,
     sum_j crisis_j * crisis_j+1 * S_j(u)``, with W_j the total size of the
     orders touching batch j and S_j the size of the order straddling the
     boundary between batches j and j + 1. ``u`` and ``crisis`` hold the
-    columns of ``cells``, cell-major; W and S are read from the tables of
-    ``axis`` (a :class:`_BatchAxis`) at column ``cell * (B - lo) +
-    max(u, lo) - lo``. On a folded axis a crisis flag in row j of rows 1 ..
+    columns of every cell of ``axis`` (a :class:`_BatchAxis`), cell-major;
+    W and S are read from its tables at column ``cell * (B - lo) + max(u,
+    lo) - lo``. On a folded axis a crisis flag in row j of rows 1 ..
     end - 1 weighs as much as one in row ``1 + (j - 1) % period``, so the
     flags of those rows are counted per residue class by
     :func:`_fold_rows`, and the counts take the place of the flags. The
@@ -663,8 +655,9 @@ def _batch_axis_recalls(axis: _BatchAxis, b: int, q: int, cells: np.ndarray,
     Without S the second sum, its flags and its gather are skipped.
     """
     lo = max(0, b - q)
-    at = ((cells * (b - lo) - lo)[:, None]
-          + np.maximum(u, lo).reshape(len(cells), -1)).reshape(-1)
+    starts = np.arange(0, axis.touch.shape[1], b - lo)  # cell * (B - lo)
+    at = ((starts - lo)[:, None]
+          + np.maximum(u, lo).reshape(len(starts), -1)).reshape(-1)
     both = None if axis.straddle is None else crisis[:-1] & crisis[1:]
     if axis.period:
         crisis = _fold_rows(crisis, axis)
@@ -849,11 +842,10 @@ def sweep(quantity: int, crisis_prob: float, order_sizes: Sequence[int],
     also gets a Monte Carlo estimate seeded from (base_seed, o, b) and the
     grid-level mean absolute error as a percentage of the quantity. Each
     cell's estimate equals ``estimate_recall`` of that cell alone. The
-    cells of one batch size are simulated together, one or as many at a
-    time as keep their per-cell tables (about Q + 2B words each) within
-    2**17 words, which takes all 50 order sizes of ``validate`` at once,
-    and every cell's trials are summed as they are drawn: memory does not
-    grow with the trial count.
+    cells of one batch size are simulated together in one kernel call,
+    whose chunks each hold as many cells as keep their tables (about Q + 2B
+    words a cell) within 2**17 words, and every cell's trials are summed as
+    they are drawn: memory grows with neither the trial count nor the grid.
     """
     return _sweep(*_check_grid(quantity, crisis_prob, order_sizes,
                                batch_sizes),
@@ -884,18 +876,10 @@ def _sweep(q: int, p: float, orders: tuple[int, ...],
     by_order = derive_seeds(np.array([seed % 2**64], dtype=np.uint64),
                             np.array(orders, dtype=np.uint64))
     for j, b in enumerate(batches):
-        # a cell brings W and S tables of (n_batches + 1) * min(B, Q) words
-        # each on the batch axis (at most 192 in validate, so one call per
-        # batch size); its trials are summed as they are drawn
-        table = ((q + 2 * b - 2) // b + 1) * min(b, q)
-        step = max(1, _CHUNK_OUTPUTS // table)
-        for i in range(0, len(orders), step):
-            cells = orders[i:i + step]
-            sums = _TrialSums(len(cells), q)
-            seeds = derive_seeds(by_order[i:i + step], np.uint64(b))
-            _group_recalls(cells, b, q, p, seeds, n, sums.add)
-            _, sim_mean[i:i + step, j], std_error[i:i + step, j] = (
-                sums.summary(n))
+        sums = _TrialSums(len(orders), q)  # trials summed as they are drawn
+        _group_recalls(orders, b, q, p, derive_seeds(by_order, np.uint64(b)),
+                       n, sums.add)
+        _, sim_mean[:, j], std_error[:, j] = sums.summary(n)
     abs_error = np.abs(analytic - sim_mean)
     return SweepGrid(total_quantity=q, crisis_prob=p, order_sizes=orders,
                      batch_sizes=batches, analytic=analytic, sim_mean=sim_mean,

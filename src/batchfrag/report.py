@@ -78,14 +78,16 @@ def _grid_comment(grid: SweepGrid) -> str:
 # each label, once per grid. A value x is written from the integer
 # N = rint(y), y = x * 1e6, with digits from a three-digit table, wherever N
 # provably equals '%.6f' % x: the sign bit of x is clear, y < 2**51 (so x is
-# finite), and |(y - floor(y)) - 0.5| > 2 * spacing(m), m the largest y of
+# finite), and |(y - floor(y)) - 0.5| > spacing(m) / 2, m the largest y of
 # the block's column once the y of each value failing the first two tests
 # is set to 0. Proof: spacing is nondecreasing on [0, inf), so
-# spacing(y) <= spacing(m), and y lies within spacing(y) / 2 of the exact
-# product x * 10**6 and farther than that from floor(y) + 0.5, the
+# spacing(y) <= spacing(m), and y lies within spacing(y) / 2 <=
+# spacing(m) / 2 of the exact product x * 10**6 (it is that product
+# rounded once) and farther than spacing(m) / 2 from floor(y) + 0.5, the
 # half-integer nearest it. So no half-integer, and no tie, lies between y
 # and the exact product, and both round to N, which is what '%.6f' prints
-# of the binary value. Below 2**51, y - floor(y) and the test are exact.
+# of the binary value. The margin is that bound itself, the least this
+# argument allows. Below 2**51, y - floor(y) and the test are exact.
 # Every other value (ties, negatives, -0.0, nan, inf, and x >= 2**51 / 1e6)
 # gets a _MARK byte, where b'%.6f' % x is spliced in. One bound per column
 # costs one spacing call, not one per cell, and can only send more values
@@ -114,7 +116,7 @@ def _micro_units(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         y = x * 1e6
     fast = ~np.signbit(x) & (y < 2.0**51)
     y = np.where(fast, y, 0.0)
-    fast &= np.abs(y - np.floor(y) - 0.5) > 2 * np.spacing(y.max())
+    fast &= np.abs(y - np.floor(y) - 0.5) > 0.5 * np.spacing(y.max())
     micro = np.rint(y).astype(np.int64)
     return micro, fast, len(str(micro.max() // 10**6))
 

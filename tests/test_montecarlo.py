@@ -1,6 +1,7 @@
 """Monte Carlo harness: kernel parity, estimator algebra, sweep grids."""
 
 import decimal
+import hashlib
 import itertools
 import math
 import re
@@ -25,6 +26,7 @@ from batchfrag.montecarlo import (
     sweep,
     trial_recalls,
 )
+from batchfrag.report import write_sweep
 from batchfrag.seeding import derive_seed, derive_seeds, unit_less
 from batchfrag.simulation import (Batch, Order, TrialConfig, fifo_assign,
                                   measure_recall, run_trial)
@@ -404,15 +406,14 @@ class TestBatchAxisFold:
         rows = (q + 2 * b - 2) // b
         crisis = rng.random((rows, len(orders) * n)) < density
         u = rng.integers(0, b, len(orders) * n)
-        cells = np.arange(len(orders))
         cases = [(tables, fold)]
         if tables.straddle is None:
             cases.append(tuple(axis._replace(straddle=_full_tables(axis)[1])
                                for axis in (tables, fold)))
         for whole, folded in cases:
             np.testing.assert_array_equal(
-                montecarlo._batch_axis_recalls(folded, b, q, cells, u, crisis),
-                montecarlo._batch_axis_recalls(whole, b, q, cells, u, crisis))
+                montecarlo._batch_axis_recalls(folded, b, q, u, crisis),
+                montecarlo._batch_axis_recalls(whole, b, q, u, crisis))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -500,7 +501,6 @@ class TestExhaustiveReductions:
                 cells = np.array(cells)
                 own = montecarlo._batch_axis_tables(orders[cells], b, q, rows)
                 tiled = (np.tile(u, len(cells)), np.tile(crisis, len(cells)))
-                local = np.arange(len(cells))
                 folded = montecarlo._batch_axis_fold(orders[cells], b, own,
                                                      len(tiled[0]))
                 axes = (own,) if folded is own else (own, folded)
@@ -508,8 +508,7 @@ class TestExhaustiveReductions:
                     axes += tuple(axis._replace(straddle=_full_tables(axis)[1])
                                   for axis in axes)
                 for axis in axes:
-                    got = montecarlo._batch_axis_recalls(axis, b, q, local,
-                                                         *tiled)
+                    got = montecarlo._batch_axis_recalls(axis, b, q, *tiled)
                     np.testing.assert_array_equal(
                         got.reshape(len(cells), -1), expected[cells])
             order_axis = montecarlo._order_axis_tables(orders[split:], b, q)
@@ -645,47 +644,42 @@ class TestExhaustiveGroupRecalls:
         assert (plans > 0, rounds > 0) == (path == "probe plans",) * 2
 
 
-def reference_recall_table(batch_axis, order_axis, split, b, q, rows,
-                           columns):
+def reference_recall_table(orders, b, q, rows, columns):
     """_recall_table through the reductions: _batch_axis_recalls and
     _order_axis_recalls over a synthetic column for each (cell, u, crisis
     pattern), in slices of at most ``columns`` columns (or one cell's u
-    values, whole patterns) so that its working set is a chunk's."""
-    cells = split + len(order_axis.first) - 1
+    values, whole patterns) so that its working set is a chunk's. Each
+    range of cells builds its own W/S or order tables, after dropping the
+    last range's, as a reduction call does."""
+    orders = np.array(orders, dtype=np.int64)
+    split = int(np.searchsorted(orders, b, side="right"))
     patterns = 1 << rows
-    table = np.empty((cells, b << rows), dtype=montecarlo._sum_type(q))
+    table = np.empty((len(orders), b << rows), dtype=montecarlo._sum_type(q))
     flags = (np.arange(patterns) >> np.arange(rows)[:, None]) & 1 == 1
     width = min(b, max(1, columns >> rows))  # u values per slice
     step = max(1, columns // (width << rows))  # cells per slice
-    for first, last in ((0, split), (split, cells)):
+    for first, last in ((0, split), (split, len(orders))):
         for c0 in range(first, last, step):
             c1 = min(last, c0 + step)
+            tables = None
+            if c1 <= split:
+                tables = montecarlo._batch_axis_tables(orders[c0:c1], b, q,
+                                                       rows)
+            else:
+                tables = montecarlo._order_axis_tables(orders[c0:c1], b, q)
             for u0 in range(0, b, width):
                 u1 = min(b, u0 + width)
                 u = np.tile(np.repeat(np.arange(u0, u1), patterns), c1 - c0)
                 crisis = np.tile(flags, (c1 - c0) * (u1 - u0))
                 if c1 <= split:
-                    recalls = montecarlo._batch_axis_recalls(
-                        batch_axis, b, q, np.arange(c0, c1), u, crisis)
+                    recalls = montecarlo._batch_axis_recalls(tables, b, q, u,
+                                                             crisis)
                 else:
-                    recalls = montecarlo._order_axis_recalls(
-                        order_axis.block(c0 - split, c1 - split), u, crisis)
+                    recalls = montecarlo._order_axis_recalls(tables, u,
+                                                             crisis)
                 table[c0:c1, u0 << rows:u1 << rows] = recalls.reshape(
                     c1 - c0, -1)
     return table.reshape(-1)
-
-
-def reference_args(orders, b, q):
-    """reference_recall_table's arguments for a group, less ``columns``:
-    its W/S tables, order tables and axis split as a reduction call
-    makes them."""
-    rows = (q + 2 * b - 2) // b
-    orders = np.array(orders, dtype=np.int64)
-    split = int(np.searchsorted(orders, b, side="right"))
-    batch_axis = (montecarlo._batch_axis_tables(orders[:split], b, q, rows)
-                  if split else None)
-    return (batch_axis, montecarlo._order_axis_tables(orders[split:], b, q),
-            split, b, q, rows)
 
 
 def traced_peak(build, *args):
@@ -772,13 +766,12 @@ class TestRecallTable:
         """Every entry equals the reductions' recall of its column, and the
         build needs no more memory than going through the reductions in
         chunk-sized slices."""
-        args = reference_args(orders, b, q)
-        rows = args[-1]
+        rows = (q + 2 * b - 2) // b
         assert rows <= montecarlo._TABLE_ROWS
         assert len(orders) * b << rows <= montecarlo._CHUNK_OUTPUTS // 4
         columns = max(1, montecarlo._CHUNK_OUTPUTS // (rows + 11))
-        expected, reference_peak = traced_peak(reference_recall_table, *args,
-                                               columns)
+        expected, reference_peak = traced_peak(reference_recall_table, orders,
+                                               b, q, rows, columns)
         tables = montecarlo._order_axis_tables(np.array(orders), b, q)
         table, peak = traced_peak(montecarlo._recall_table, tables, b, q,
                                   rows)
@@ -825,7 +818,8 @@ class TestRecallTable:
         limits; at p = 1 runs of more than 4 rows go to _probe_plan, except
         on the table path, which asks for no plan. A call on the table path
         builds no W/S table and runs no fold; one that reduces its
-        batch-axis cells (O = 1 here) builds and folds them once."""
+        batch-axis cells (O <= B) builds and folds the tables of each chunk
+        of them once: three chunks at O = 1 .. 7, one elsewhere."""
         rows = (q + 2 * b - 2) // b
         n = (b << rows) + slack
         tables = record_calls(monkeypatch, "_recall_table")
@@ -836,24 +830,41 @@ class TestRecallTable:
                                   list(range(len(orders))), n,
                                   lambda *block: None)
         # a plan asked for on tables with a run of over 4 rows (probe = 1)
-        long = any((block.stop - block.head - 1 > 4).any()
-                   for (block, *_), _, _ in plans)
+        long = any((cells.stop - cells.head - 1 > 4).any()
+                   for (cells, *_), _, _ in plans)
         assert (len(tables), long) == (used, probed)
-        assert len(axes) == len(folds) == (not used)
+        chunks = [args[0].tolist() for args, _, _ in axes]
+        assert [o for cells in chunks for o in cells] == (
+            [] if used else [o for o in orders if o <= b])
+        assert len(chunks) == (0 if used else 3 if b == 7 else 1)
+        # each chunk's own tables folded once
+        assert len(folds) == len(axes)
+        assert all(fold[2] is axis for (fold, _, _), (*_, axis)
+                   in zip(folds, axes))
 
     @pytest.mark.parametrize("orders,b,q,straddles", [
         ((1,), 1, 6000, False), ((1,), 7, 50, False), ((1, 2), 3, 50, True),
         ((3,), 100, 50, True), ((1, 60), 20, 100, False)])
     def test_straddle_term_decided_once_per_group(self, monkeypatch, orders,
                                                   b, q, straddles):
-        """Only a group whose S table is all zeros (O = 1) skips the
-        straddle term, and every batch-axis reduction of it does."""
+        """Only a chunk whose S table is all zeros (its cells all at O = 1)
+        skips the straddle term, and every batch-axis reduction of it does.
+        Here each chunk holds one cell, so at O = (1, 2), B = 3 the O = 1
+        chunk skips the term and the O = 2 chunk keeps it; ``straddles``
+        is whether any chunk keeps it."""
+        folds = record_calls(monkeypatch, "_batch_axis_fold")
         calls = record_calls(monkeypatch, "_batch_axis_recalls")
         monkeypatch.setattr(montecarlo, "_CHUNK_OUTPUTS", 1 << 11)
         recalls = group_recalls(orders, b, q, 0.3, [4] * len(orders), 300)
-        assert len(calls) > 1
-        assert {args[0].straddle is not None
-                for args, _, _ in calls} == {straddles}
+        chunks = [args[0].tolist() for args, _, _ in folds]
+        assert chunks == [[o] for o in orders if o <= b]
+        kept = [axis.straddle is not None for *_, axis in folds]
+        assert kept == [cells != [1] for cells in chunks]
+        assert any(kept) == straddles
+        # several reductions per chunk, each on its own chunk's tables
+        assert len(calls) > len(folds)
+        for args, _, _ in calls:
+            assert any(args[0] is axis for *_, axis in folds)
         for c, o in enumerate(orders):
             for i in (0, 299):
                 assert recalls[c, i] == run_trial(TrialConfig.from_seed(
@@ -891,7 +902,7 @@ class TestEarlyResolution:
         rounds find a crisis in each at p = 1 and in none at p = 0."""
         b, q = 1, 6000
         tables = montecarlo._order_axis_tables(np.array([100]), b, q)
-        plan = montecarlo._probe_plan(tables.block(0, 1), (q + 2 * b - 2) // b,
+        plan = montecarlo._probe_plan(tables, (q + 2 * b - 2) // b,
                                       montecarlo._probe_rows(1.0), 64)
         assert plan is not None
         _, block, rounds, trials = plan
@@ -1354,12 +1365,12 @@ class TestSweep:
         assert peak < 32 * 2**20
 
     def test_memory_bounded_for_many_cells_at_few_trials(self):
-        """The cells per kernel call are capped by the size of their W/S
+        """The cells per kernel chunk are capped by the size of their W/S
         tables, so memory does not grow with the grid at few trials (a cap
         by the trial count alone peaks at ~30 MiB here). The same cap
         bounds the order tables of cells with O > B, of which the first grid
-        has none: in the second a call holds two cells of up to 50,000
-        orders, and the peak is about 3.5 MiB."""
+        has none: in the second a chunk holds two cells of up to 25,000
+        orders, and the peak is about 4.1 MiB."""
         for q, orders, batches, mib in ((5000, range(1, 201), [300, 4000], 4),
                                         (50_000, range(1, 41), [1], 8)):
             tracemalloc.start()
@@ -1370,6 +1381,35 @@ class TestSweep:
                 tracemalloc.stop()
             assert grid.sim_mean.shape == (len(orders), len(batches))
             assert peak < mib * 2**20
+
+    def test_memory_bounded_in_one_call_over_many_cells(self):
+        """One kernel call over 40 order sizes at Q = 50,000 and one trial
+        builds the tables of each chunk of cells in turn and drops them
+        before the next: about 4.1 MiB at the peak, where tables built for
+        every cell at once took 23.5 MiB."""
+        orders = tuple(range(1, 41))
+        seeds = [derive_seed(0, o, 1) for o in orders]
+        tracemalloc.start()
+        try:
+            recalls = group_recalls(orders, 1, 50_000, 0.15, seeds, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < recalls.min() and recalls.max() < 50_000
+        assert peak < 8 * 2**20
+
+    def test_one_kernel_call_per_batch_size(self, monkeypatch, tmp_path):
+        """Every cell of a batch size goes to the kernel in one call, whose
+        chunks bound the tables. The CSV's digest was recorded when this
+        sweep cut each batch size into two calls."""
+        calls = record_calls(monkeypatch, "_group_recalls")
+        grid = sweep(6000, 0.2, range(1, 31), range(1, 5), n_trials=7,
+                     base_seed=3)
+        assert [(args[0], args[1]) for args, _, _ in calls] == [
+            (tuple(range(1, 31)), b) for b in range(1, 5)]
+        path = write_sweep(grid, tmp_path / "grid.csv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "fff72fd5e775afdc38a559ed801a76b644d7918e84c33d7669231dd9fe48f16e")
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):

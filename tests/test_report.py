@@ -197,9 +197,9 @@ def simulated_grid_of(analytic, sim_mean, abs_error, std_error):
 
 # Values with every count of integer digits from 1 to 10, with zeros inside
 # and at the ends of three-digit groups, all on the fast path: each product
-# x * 1e6 is exact and below 2**50, so 2 * spacing of the largest is 0.25.
-# (In a block whose largest product lies from 2**50 to the 2**51 limit,
-# 2 * spacing is 0.5 and no value is fast.)
+# x * 1e6 is exact and below 2**50, so half the spacing of the largest is
+# 1/16. (In a block whose largest product lies from 2**50 to the 2**51
+# limit, the products are multiples of 1/4 and every one but a tie is fast.)
 DIGIT_COUNTS = [0.0, 0.5] + [v for d in range(1, 11) for v in (
     10**(d - 1) + 0.25, min(10**d - 1, 1125899906) + 0.125,
     10**(d - 1) + 10**((d - 1) // 2) + 0.75)]
@@ -287,6 +287,47 @@ class TestFixedPointEdges:
         data = (tmp_path / "grid.csv").read_bytes()
         assert data == per_cell_long_csv(grid)
         assert b"\n3,2,20.500000,0.023438,0.250000,0.245000\n" in data
+
+    @pytest.mark.parametrize("e", [20, 36, 50])
+    def test_values_beside_the_tie_margin(self, e, tmp_path):
+        """Products x * 1e6 within a few ulp of k + 0.5 +- spacing(m) / 2,
+        the margin, in the binade of the block's largest product m and in
+        the one below it: every cell prints as '%.6f' prints it, a value is
+        fast exactly when its product lies farther than the margin from the
+        tie, and some lie at the margin and some within 2 * spacing(m)."""
+        top = 2.0**e
+        s = float(np.spacing(top))  # spacing(m): m lies in [2**e, 2**(e+1))
+        values = []
+        for k in (top + 2**(e - 2), top / 2 + 2**(e - 3)):
+            for j in range(-4, 5):
+                values += neighbours((k + 0.5 + j * s / 2) / 1e6, 2)
+        values = np.array(values)
+        y = values * 1e6
+        assert np.spacing(y.max()) == s and y.max() < 2.0**51
+        off_tie = np.abs(y - np.floor(y) - 0.5)
+        fast = report._micro_units(values)[1]
+        np.testing.assert_array_equal(fast, off_tie > s / 2)
+        assert ((off_tie > 0) & ~fast).any()
+        assert (fast & (off_tie <= 2 * s)).any()
+        grid = analytic_grid_of(values)
+        write_sweep(grid, tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == per_cell_long_csv(grid)
+
+    @pytest.mark.parametrize("q,share", [(10**9, 0.8), (2 * 10**9, 0.65)])
+    def test_large_quantity_surfaces_mostly_fast(self, q, share, tmp_path):
+        """The 1000 x 50 surface at p = 0.07: most cells take the fixed-point
+        path (86% at Q = 10**9 and 72% at 2 * 10**9, where a margin of
+        2 * spacing(m) made 40% and none fast), and every cell prints as
+        '%.6f' prints it."""
+        grid = sweep(q, 0.07, range(1, 1001), range(1, 51),
+                     include_simulation=False)
+        x = grid.analytic.ravel()
+        fast = np.concatenate([
+            report._micro_units(x[start:start + report._BLOCK_CELLS])[1]
+            for start in range(0, x.size, report._BLOCK_CELLS)])
+        assert fast.mean() >= share
+        write_sweep(grid, tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == per_cell_long_csv(grid)
 
     def test_memory_is_bounded_by_the_block(self, tmp_path):
         """The CSV is written block by block: the writer's peak does not
