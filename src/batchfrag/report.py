@@ -78,21 +78,17 @@ def _grid_comment(grid: SweepGrid) -> str:
 # each label, once per grid. A value x is written from the integer
 # N = rint(y), y = x * 1e6, with digits from a three-digit table, wherever N
 # provably equals '%.6f' % x: the sign bit of x is clear, y < 2**51 (so x is
-# finite), and |(y - floor(y)) - 0.5| > spacing(m) / 2, m the largest y of
-# the block's column once the y of each value failing the first two tests
-# is set to 0. Proof: spacing is nondecreasing on [0, inf), so
-# spacing(y) <= spacing(m), and y lies within spacing(y) / 2 <=
-# spacing(m) / 2 of the exact product x * 10**6 (it is that product
-# rounded once) and farther than spacing(m) / 2 from floor(y) + 0.5, the
-# half-integer nearest it. So no half-integer, and no tie, lies between y
-# and the exact product, and both round to N, which is what '%.6f' prints
-# of the binary value. The margin is that bound itself, the least this
-# argument allows. Below 2**51, y - floor(y) and the test are exact.
-# Every other value (ties, negatives, -0.0, nan, inf, and x >= 2**51 / 1e6)
-# gets a _MARK byte, where b'%.6f' % x is spliced in. One bound per column
-# costs one spacing call, not one per cell, and can only send more values
-# to '%.6f'. The integer part has exactly as many rows as the column's
-# largest N // 10**6 has digits. Digits are split off with // by a Python
+# finite), and y - floor(y) != 0.5. Proof: below 2**51, spacing(y) <= 1/4,
+# so y, floor(y) and floor(y) + 0.5 are multiples of spacing(y), and
+# y - floor(y) and the test are exact. A y that is not a tie therefore lies
+# at least spacing(y) from floor(y) + 0.5, the half-integer nearest it,
+# while the exact product x * 10**6 lies within spacing(y) / 2 of y (y is
+# that product rounded once). So no half-integer, and no tie, lies between
+# y and the exact product, and both round to N, which is what '%.6f' prints
+# of the binary value. Every other value (ties, negatives, -0.0, nan, inf,
+# and x >= 2**51 / 1e6) gets a _MARK byte, where b'%.6f' % x is spliced in;
+# its y is set to 0 first. The integer part has exactly as many rows as the
+# column's largest N // 10**6 has digits. Digits are split off with // by a Python
 # int, which numpy runs through libdivide; its % and divmod do not use it
 # and cost about three times as much, so a remainder is taken as
 # a - (a // d) * d.
@@ -116,7 +112,7 @@ def _micro_units(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         y = x * 1e6
     fast = ~np.signbit(x) & (y < 2.0**51)
     y = np.where(fast, y, 0.0)
-    fast &= np.abs(y - np.floor(y) - 0.5) > 0.5 * np.spacing(y.max())
+    fast &= y - np.floor(y) != 0.5
     micro = np.rint(y).astype(np.int64)
     return micro, fast, len(str(micro.max() // 10**6))
 

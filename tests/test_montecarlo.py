@@ -644,41 +644,45 @@ class TestExhaustiveGroupRecalls:
         assert (plans > 0, rounds > 0) == (path == "probe plans",) * 2
 
 
-def reference_recall_table(orders, b, q, rows, columns):
-    """_recall_table through the reductions: _batch_axis_recalls and
-    _order_axis_recalls over a synthetic column for each (cell, u, crisis
-    pattern), in slices of at most ``columns`` columns (or one cell's u
-    values, whole patterns) so that its working set is a chunk's. Each
-    range of cells builds its own W/S or order tables, after dropping the
-    last range's, as a reduction call does."""
+def reference_ranges(orders, b, q, rows, columns):
+    """The ranges of cells reference_recall_table reduces, in slices of at
+    most ``columns`` columns (or one cell's u values, whole patterns) so
+    that its working set is a chunk's: (c0, c1, tables) each, with that
+    range's own W/S or order tables as a reduction call builds them."""
     orders = np.array(orders, dtype=np.int64)
     split = int(np.searchsorted(orders, b, side="right"))
-    patterns = 1 << rows
-    table = np.empty((len(orders), b << rows), dtype=montecarlo._sum_type(q))
-    flags = (np.arange(patterns) >> np.arange(rows)[:, None]) & 1 == 1
-    width = min(b, max(1, columns >> rows))  # u values per slice
-    step = max(1, columns // (width << rows))  # cells per slice
+    step = max(1, columns // (min(b, max(1, columns >> rows)) << rows))
+    ranges = []
     for first, last in ((0, split), (split, len(orders))):
         for c0 in range(first, last, step):
             c1 = min(last, c0 + step)
-            tables = None
-            if c1 <= split:
-                tables = montecarlo._batch_axis_tables(orders[c0:c1], b, q,
-                                                       rows)
+            ranges.append((c0, c1, montecarlo._batch_axis_tables(
+                orders[c0:c1], b, q, rows) if c1 <= split else
+                montecarlo._order_axis_tables(orders[c0:c1], b, q)))
+    return ranges
+
+
+def reference_recall_table(ranges, b, q, rows, columns):
+    """_recall_table through the reductions: _batch_axis_recalls and
+    _order_axis_recalls over a synthetic column for each (cell, u, crisis
+    pattern) of each of reference_ranges' ranges, in slices of at most
+    ``columns`` columns."""
+    patterns = 1 << rows
+    table = np.empty((ranges[-1][1], b << rows), dtype=montecarlo._sum_type(q))
+    flags = (np.arange(patterns) >> np.arange(rows)[:, None]) & 1 == 1
+    width = min(b, max(1, columns >> rows))  # u values per slice
+    for c0, c1, tables in ranges:
+        for u0 in range(0, b, width):
+            u1 = min(b, u0 + width)
+            u = np.tile(np.repeat(np.arange(u0, u1), patterns), c1 - c0)
+            crisis = np.tile(flags, (c1 - c0) * (u1 - u0))
+            if isinstance(tables, montecarlo._OrderAxis):
+                recalls = montecarlo._order_axis_recalls(tables, u, crisis)
             else:
-                tables = montecarlo._order_axis_tables(orders[c0:c1], b, q)
-            for u0 in range(0, b, width):
-                u1 = min(b, u0 + width)
-                u = np.tile(np.repeat(np.arange(u0, u1), patterns), c1 - c0)
-                crisis = np.tile(flags, (c1 - c0) * (u1 - u0))
-                if c1 <= split:
-                    recalls = montecarlo._batch_axis_recalls(tables, b, q, u,
-                                                             crisis)
-                else:
-                    recalls = montecarlo._order_axis_recalls(tables, u,
-                                                             crisis)
-                table[c0:c1, u0 << rows:u1 << rows] = recalls.reshape(
-                    c1 - c0, -1)
+                recalls = montecarlo._batch_axis_recalls(tables, b, q, u,
+                                                         crisis)
+            table[c0:c1, u0 << rows:u1 << rows] = recalls.reshape(c1 - c0,
+                                                                  -1)
     return table.reshape(-1)
 
 
@@ -770,7 +774,10 @@ class TestRecallTable:
         assert rows <= montecarlo._TABLE_ROWS
         assert len(orders) * b << rows <= montecarlo._CHUNK_OUTPUTS // 4
         columns = max(1, montecarlo._CHUNK_OUTPUTS // (rows + 11))
-        expected, reference_peak = traced_peak(reference_recall_table, orders,
+        # both sides' tables are built before their traces, so neither
+        # peak counts a table build
+        ranges = reference_ranges(orders, b, q, rows, columns)
+        expected, reference_peak = traced_peak(reference_recall_table, ranges,
                                                b, q, rows, columns)
         tables = montecarlo._order_axis_tables(np.array(orders), b, q)
         table, peak = traced_peak(montecarlo._recall_table, tables, b, q,

@@ -197,9 +197,7 @@ def simulated_grid_of(analytic, sim_mean, abs_error, std_error):
 
 # Values with every count of integer digits from 1 to 10, with zeros inside
 # and at the ends of three-digit groups, all on the fast path: each product
-# x * 1e6 is exact and below 2**50, so half the spacing of the largest is
-# 1/16. (In a block whose largest product lies from 2**50 to the 2**51
-# limit, the products are multiples of 1/4 and every one but a tie is fast.)
+# x * 1e6 is exact, below 2**50 and not a tie.
 DIGIT_COUNTS = [0.0, 0.5] + [v for d in range(1, 11) for v in (
     10**(d - 1) + 0.25, min(10**d - 1, 1125899906) + 0.125,
     10**(d - 1) + 10**((d - 1) // 2) + 0.75)]
@@ -289,35 +287,28 @@ class TestFixedPointEdges:
         assert b"\n3,2,20.500000,0.023438,0.250000,0.245000\n" in data
 
     @pytest.mark.parametrize("e", [20, 36, 50])
-    def test_values_beside_the_tie_margin(self, e, tmp_path):
-        """Products x * 1e6 within a few ulp of k + 0.5 +- spacing(m) / 2,
-        the margin, in the binade of the block's largest product m and in
-        the one below it: every cell prints as '%.6f' prints it, a value is
-        fast exactly when its product lies farther than the margin from the
-        tie, and some lie at the margin and some within 2 * spacing(m)."""
+    def test_values_a_few_ulp_from_ties(self, e, tmp_path):
+        """Values within a few ulp of (k + 0.5) / 1e6, with products x * 1e6
+        in the binade from 2**e and the one below it, up to the products of
+        spacing 1/4 below the 2**51 limit: every cell prints as '%.6f'
+        prints it, and only exact ties leave the fast path."""
         top = 2.0**e
-        s = float(np.spacing(top))  # spacing(m): m lies in [2**e, 2**(e+1))
-        values = []
-        for k in (top + 2**(e - 2), top / 2 + 2**(e - 3)):
-            for j in range(-4, 5):
-                values += neighbours((k + 0.5 + j * s / 2) / 1e6, 2)
-        values = np.array(values)
+        values = np.array([v for k in (top + 2**(e - 2), top / 2 + 2**(e - 3))
+                           for v in neighbours((k + 0.5) / 1e6, 6)])
         y = values * 1e6
-        assert np.spacing(y.max()) == s and y.max() < 2.0**51
-        off_tie = np.abs(y - np.floor(y) - 0.5)
-        fast = report._micro_units(values)[1]
-        np.testing.assert_array_equal(fast, off_tie > s / 2)
-        assert ((off_tie > 0) & ~fast).any()
-        assert (fast & (off_tie <= 2 * s)).any()
+        assert y.max() < 2.0**51
+        off_tie = y - np.floor(y) != 0.5
+        np.testing.assert_array_equal(report._micro_units(values)[1], off_tie)
+        assert off_tie.any() and not off_tie.all()
         grid = analytic_grid_of(values)
         write_sweep(grid, tmp_path / "grid.csv")
         assert (tmp_path / "grid.csv").read_bytes() == per_cell_long_csv(grid)
 
-    @pytest.mark.parametrize("q,share", [(10**9, 0.8), (2 * 10**9, 0.65)])
+    @pytest.mark.parametrize("q,share", [(10**9, 0.85), (2 * 10**9, 0.75)])
     def test_large_quantity_surfaces_mostly_fast(self, q, share, tmp_path):
         """The 1000 x 50 surface at p = 0.07: most cells take the fixed-point
-        path (86% at Q = 10**9 and 72% at 2 * 10**9, where a margin of
-        2 * spacing(m) made 40% and none fast), and every cell prints as
+        path (89% at Q = 10**9 and 79% at 2 * 10**9, where a tie margin of
+        2 * spacing made 40% and none fast), and every cell prints as
         '%.6f' prints it."""
         grid = sweep(q, 0.07, range(1, 1001), range(1, 51),
                      include_simulation=False)
