@@ -55,10 +55,12 @@ Z98 = 2.326
 # n_batches + 1 stream outputs plus about ten words of per-column vectors
 # (seeds, draws, table indices, sums); a chunk that draws long runs
 # in part (see _probe_plan) takes fewer outputs and counts its round arrays
-# in the same budget. Chunks this small stay close to a core's cache, and
-# memory does not grow with the trial count or the grid. A chunk also holds
-# no more cells than keep each of its batch-axis tables within this many
-# words.
+# in the same budget. Past 4096 batches a column counts its crisis flags at
+# two bytes each instead of its outputs, which it draws in row blocks of
+# half this many words (see _column_words). Chunks this small stay close to a
+# core's cache, and memory does not grow with the trial count or the grid.
+# A chunk also holds no more cells than keep each of its batch-axis tables
+# within this many words.
 _CHUNK_OUTPUTS = 1 << 17
 
 # A kernel call reads its recalls from a _recall_table when the horizon has
@@ -225,24 +227,29 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     probe plan, and keep no order table past the build.
 
     Columns are processed in chunks with a working set of about
-    ``_CHUNK_OUTPUTS`` words (more on horizons past 4096 batches): whole
-    cells at a time when a cell's trials fit, as many as keep W and S
-    (``(n_batches + 1) * min(B, Q)`` words a cell each) within the same
-    budget, else an equal part of one cell, whose trials are cut into the
-    nearest whole number of chunks (so a chunk holds 3/4 to 3/2 of the
-    budget). Chunks are cut where the batch axis ends, so each chunk's cells
-    share one axis. A range of cells drops the last range's tables, builds
-    its own (W and S, or order tables and their :func:`_probe_plan`), and
-    makes one reduction (or one table lookup, which reads every cell) and
-    one ``sink`` call per chunk of its trials. Every chunk draws its stream
-    outputs from a column of output indices: all ``n_batches + 1`` rows, a
-    column built once per call, unless the range's cells are on the order
-    axis and have a plan. Then the chunk draws the rows the plan lists, the
-    rest of its cells' long runs only for trials whose order is not yet
-    recalled, and its width is sized from those rows. An order-axis cell
-    has fewer orders than its horizon has batches, so memory beyond one
-    cell's tables and what the sink keeps grows with neither n nor the
-    grid; the recalls are exact integers, so chunking cannot change them.
+    ``_CHUNK_OUTPUTS`` words (:func:`_column_words` a column; more where 32
+    columns of crisis flags pass it): whole cells at a time when a cell's
+    trials fit, as many as keep W and S (``(n_batches + 1) * min(B, Q)``
+    words a cell each) within the same budget, else an equal part of one
+    cell, whose trials are cut into the nearest whole number of chunks (so
+    a chunk holds 3/4 to 3/2 of the budget). Chunks are cut where the batch
+    axis ends, so each chunk's cells share one axis. A range of cells drops
+    the last range's tables, builds its own (W and S, or order tables and
+    their :func:`_probe_plan`), and makes one reduction (or one table
+    lookup, which reads every cell) and one ``sink`` call per chunk of its
+    trials. Every chunk draws its stream outputs from a column of output
+    indices: all ``n_batches + 1`` rows, a column built once per call,
+    unless the range's cells are on the order axis and have a plan. Then
+    the chunk draws the rows the plan lists, the rest of its cells' long
+    runs only for trials whose order is not yet recalled, and its width is
+    sized from those rows. Within 4096 batches a chunk draws its column in
+    one uint64 table; past them it draws row blocks of at most
+    ``_CHUNK_OUTPUTS // 2`` words (:func:`_draw`), one table when it fits
+    in one, and keeps row 0's draws and the crisis flags of every other
+    row. An order-axis cell has fewer orders than its horizon has batches,
+    so memory beyond one cell's tables and what the sink keeps grows with
+    neither n nor the grid; the recalls are exact integers, so chunking
+    cannot change them.
     """
     # widest horizon over all initial consumptions: ceil((q + b - 1) / b)
     n_batches = (q + 2 * b - 2) // b
@@ -250,9 +257,11 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     orders = np.array(order_sizes, dtype=np.int64)
     bases = np.asarray(base_seeds, dtype=np.uint64)
     # numpy's row-by-row passes (einsum, take, outer) need a few tens of
-    # columns to run at speed, so horizons past 4096 batches keep chunks
-    # _CHUNK_OUTPUTS / 4096 columns wide, and the table grows with Q instead
-    columns = max(1, _CHUNK_OUTPUTS // min(n_batches + 11, 4096))
+    # columns to run at speed, so chunks keep at least _CHUNK_OUTPUTS / 4096
+    # columns, and on longer horizons their flag tables grow with Q instead
+    columns = max(1, _CHUNK_OUTPUTS // min(
+        _column_words(n_batches + 1, n_batches), 4096))
+    blocks = n_batches + 11 > 4096  # draws in row blocks, as counted there
     cells_per_chunk = max(1, min(columns // n, _CHUNK_OUTPUTS // (
         (n_batches + 1) * min(b, q))))
     # a cell wider than a chunk is cut into the nearest whole number of equal
@@ -291,10 +300,9 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
             for t0 in range(0, n, width):
                 trials = np.arange(t0, min(n, t0 + width), dtype=np.uint64)
                 seeds = derive_seeds(bases[c0:c1, None], trials)
-                x = stream_outputs(seeds.reshape(-1), outputs)
-                u = belows(x[0], b)
-                crisis = is_crisis(x[1:])
-                del x
+                u, crisis = _draw(seeds.reshape(-1), outputs, b, is_crisis,
+                                  max(1, _CHUNK_OUTPUTS // 2 // seeds.size)
+                                  if blocks else len(outputs))
                 if table is not None:
                     # (cell * B + u) * 2**rows + the pattern's code, in u's
                     # place
@@ -312,7 +320,50 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
                         tables, u, crisis,
                         None if rounds is None else (rounds, seeds, is_crisis))
                 sink(c0, t0, recalls)
-                del recalls  # not kept while the next chunk draws
+                del crisis, recalls  # not kept while the next chunk draws
+
+
+def _column_words(rows: int, n_batches: int) -> int:
+    """Words that a kernel chunk column drawing ``rows`` stream outputs (the
+    u draw, then crisis draws) of a horizon of n_batches batches counts
+    against ``_CHUNK_OUTPUTS``: its uint64 outputs and about ten words of
+    per-column vectors (seeds, draws, table indices, sums).
+
+    Past 4096 batches, where 32 columns of outputs would already fill the
+    budget, a chunk instead keeps a bool table of its crisis flags and
+    draws its outputs in row blocks of half the budget (:func:`_draw`), so
+    a column counts its flags at two bytes each, the flag table and one
+    more bool table of its shape that the reductions hold (a level of
+    :func:`_crisis_in_rows`' sparse table, or the adjacent crisis pairs of
+    the straddle term): 86 columns at 6,001 batches where whole outputs
+    allowed 32. Measured on a 2-vCPU Xeon (numpy 2.4), counting one byte
+    made order-axis chunks without a plan 3-9% slower than 32 columns (O
+    = 100, B = 1, Q = 6000, p = 0.055), and blocks of a quarter or all of
+    the budget ran 1-3% slower on large-q's long horizons and at Q =
+    10**6."""
+    return rows + 10 if n_batches + 11 <= 4096 else (rows - 1) // 4 + 11
+
+
+def _draw(seeds: np.ndarray, outputs: np.ndarray, b: int,
+          is_crisis: Callable, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The initial consumption u and the crisis flags of every seed, from
+    the stream outputs at ``outputs`` (a column of indices whose row 0 is
+    the u draw), drawn ``rows`` rows at a time: one uint64 table when
+    ``rows`` covers the column, else one block after another, each block's
+    flags written into one bool table, so the uint64 words of one block
+    are held at a time. Outputs are counter-based, so a block of rows
+    draws the same words as the whole column."""
+    x = stream_outputs(seeds, outputs[:rows])
+    u = belows(x[0], b)
+    if rows >= len(outputs):
+        return u, is_crisis(x[1:])
+    crisis = np.empty((len(outputs) - 1, len(seeds)), dtype=bool)
+    is_crisis(x[1:], out=crisis[:rows - 1])
+    for r in range(rows, len(outputs), rows):
+        del x  # the last block, before the next is drawn
+        x = stream_outputs(seeds, outputs[r:r + rows])
+        is_crisis(x, out=crisis[r - 1:r - 1 + len(x)])
+    return u, crisis
 
 
 def _recall_table(tables: _OrderAxis, b: int, q: int,
@@ -406,10 +457,11 @@ def _probe_plan(tables: _OrderAxis, n_batches: int, probe: float,
     ``tables`` with every row replaced by its position among the drawn
     rows, the long runs for :func:`_finish_long_runs` (their orders, the
     cell of each, and the stream outputs of the first row not drawn and of
-    the last row), and the trials per chunk. A chunk column takes its
-    stream outputs, about ten words of vectors, and its share of the round
-    arrays: 3 words per flag for at most a quarter of the long runs'
-    (order, trial) pairs.
+    the last row), and the trials per chunk. A chunk column takes the
+    :func:`_column_words` of its drawn rows (their stream outputs and about
+    ten words of vectors, or past 4096 batches their crisis flags at two
+    bytes each) and its share of the round arrays: 3 words per flag for at
+    most a quarter of the long runs' (order, trial) pairs.
     """
     head, tail, stop = tables.head, tables.tail, tables.stop
     start, cells = head + 1, len(tables.first) - 1
@@ -430,7 +482,8 @@ def _probe_plan(tables: _OrderAxis, n_batches: int, probe: float,
               stop[long].astype(np.uint64), probe)
     outputs = np.concatenate(([0], np.flatnonzero(read) + 1)).astype(
         np.uint64)[:, None]
-    width = len(outputs) + 10 + -(-3 * probe * len(long) // (4 * cells))
+    width = (_column_words(len(outputs), n_batches)
+             + -(-3 * probe * len(long) // (4 * cells)))
     trials = min(n, max(1, _CHUNK_OUTPUTS // min(width, 4096) // cells))
     if (n_batches + 1 - len(outputs)) * trials * cells < _CHUNK_OUTPUTS:
         return None
@@ -530,9 +583,19 @@ def _order_axis_recalls(tables: _OrderAxis, u: np.ndarray,
     cells = len(first) - 1
     crisis = crisis.reshape(len(crisis), cells, -1)
     touched = _crisis_in_rows(crisis, head + 1, stop, cell)
-    u = u.reshape(cells, -1)[cell]
-    touched |= crisis[head, cell] & (u < head_lim[:, None])
-    touched |= crisis[tail, cell] & (u >= tail_lim[:, None])
+    # whether each (order, trial) touches its head row, and its tail row:
+    # each cell's u against its own orders' limits, with no (orders, trials)
+    # copy of u
+    u = u.reshape(cells, -1)
+    ahead, behind = np.empty_like(touched), np.empty_like(touched)
+    for c in range(cells):
+        own = slice(first[c], first[c + 1])
+        np.less(u[c], head_lim[own, None], out=ahead[own])
+        np.greater_equal(u[c], tail_lim[own, None], out=behind[own])
+    ahead &= crisis[head, cell]
+    behind &= crisis[tail, cell]
+    touched |= ahead
+    touched |= behind
     if rounds is not None:
         _finish_long_runs(touched, *rounds)
     recalls = np.empty((cells, touched.shape[1]), dtype=np.int64)

@@ -213,6 +213,23 @@ class TestTrialRecalls:
         assert recalls.shape == (10_000,)
         assert peak < 128 * 2**20
 
+    @pytest.mark.parametrize("o,bound", [(1, 24), (2, 40)])
+    def test_memory_bounded_past_4096_batches(self, o, bound):
+        """Past 4096 batches a chunk keeps its crisis flags, a byte each,
+        and draws its stream outputs in row blocks, and an order-axis chunk
+        compares each cell's u with its orders' limits in place: at
+        Q = 200,000 and 64 trials, chunks that held their whole uint64
+        tables peaked at 62.6 MiB (O = 1) and 67.9 MiB (O = 2)."""
+        config = EstimateConfig(ModelParams(o, 1, 200_000, 0.15), 64, 1)
+        tracemalloc.start()
+        try:
+            estimate = estimate_recall(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < estimate.mean_recall < 200_000
+        assert peak <= bound * 2**20
+
     @pytest.mark.parametrize("o", [1, 7])
     def test_memory_independent_of_batch_size(self, o):
         """Initial consumptions below B - Q all put the horizon in batch 0,
@@ -244,6 +261,60 @@ class TestTrialRecalls:
     def test_deterministic(self):
         config = EstimateConfig(ModelParams(10, 4, 50, 0.15), 300, 5)
         assert trial_recalls(config).tolist() == trial_recalls(config).tolist()
+
+
+class TestRowBlocks:
+    """Past 4096 batches a chunk draws its stream outputs in row blocks of
+    at most half of ``_CHUNK_OUTPUTS`` words; no draw or recall may change."""
+
+    @staticmethod
+    def _blocks(mp, n_batches):
+        """Record the number of row blocks of every draw of all
+        ``n_batches + 1`` rows (probe plans draw fewer)."""
+        blocks = []
+        draw = montecarlo._draw
+
+        def recorded(seeds, outputs, b, is_crisis, rows):
+            if len(outputs) == n_batches + 1:
+                blocks.append(-(-len(outputs) // rows))
+            return draw(seeds, outputs, b, is_crisis, rows)
+
+        mp.setattr(montecarlo, "_draw", recorded)
+        return blocks
+
+    @pytest.mark.parametrize("budget,blocks", [
+        (1 << 15, [1]), (1 << 14, [2]), (1 << 10, range(3, 10))])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_blocks_match_one_draw_and_single_trials(self, budget, blocks,
+                                                     data):
+        """An O = 1 cell and an order-axis cell, three trials each, on
+        horizons just past 4096 batches, under budgets whose chunks of every
+        row draw them in one, two or many blocks (one trial a chunk, some
+        with probe plans): every recall equals one whole-table draw's (the
+        default budget at three trials) and sampled trials equal
+        run_trial."""
+        b = data.draw(st.integers(1, 2), label="B")
+        q = b * 4086 + data.draw(st.integers(0, 200), label="extra units")
+        orders = [1, data.draw(st.integers(b + 1, q), label="O")]
+        p = data.draw(st.sampled_from([0.0, 2**-53, 0.3, 1.0]), label="p")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        seeds, n = [derive_seed(seed, o, b) for o in orders], 3
+        n_batches = (q + 2 * b - 2) // b
+        with pytest.MonkeyPatch.context() as mp:
+            whole = self._blocks(mp, n_batches)
+            expected = group_recalls(orders, b, q, p, seeds, n)
+        assert whole and set(whole) == {1}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_CHUNK_OUTPUTS", budget)
+            drawn = self._blocks(mp, n_batches)
+            recalls = group_recalls(orders, b, q, p, seeds, n)
+        assert drawn and set(drawn) <= set(blocks)
+        np.testing.assert_array_equal(recalls, expected)
+        i = data.draw(st.integers(0, n - 1), label="trial")
+        for c, (o, cell_seed) in enumerate(zip(orders, seeds)):
+            assert recalls[c, i] == run_trial(TrialConfig.from_seed(
+                ModelParams(o, b, q, p), derive_seed(cell_seed, i)))
 
 
 class TestKernelTables:
@@ -969,9 +1040,11 @@ class TestEarlyResolution:
     @pytest.mark.parametrize("probe", [None, 1, 2])
     @pytest.mark.parametrize("p", [0.01, 0.05])
     def test_several_probing_cells_in_one_chunk(self, p, probe):
-        """Cells whose long runs end in rounds, two to a chunk (a horizon
-        past 4096 batches at 16 trials) and one to a chunk: each pair's
-        rounds draw from its own cell's seeds."""
+        """Cells whose long runs end in rounds, every cell in one chunk (the
+        default budget), two to a chunk (a budget of 40 columns of 16
+        trials, a column of this horizon past 4096 batches counting
+        ``q // 4 + 11`` words) and one to a chunk: each chunk's rounds draw
+        from its own cells' seeds."""
         orders, b, q, n = [150, 210, 300, 420], 1, 4200, 16
         seeds = [derive_seed(3, o) for o in orders]
         expected = [trial_recalls(EstimateConfig(ModelParams(o, b, q, p), n,
@@ -986,7 +1059,7 @@ class TestEarlyResolution:
                 probing_cells.append(len(tables.first) - 1)
             return plan
 
-        for budget in (montecarlo._CHUNK_OUTPUTS, 400):
+        for budget in (montecarlo._CHUNK_OUTPUTS, 40 * (q // 4 + 11), 400):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(montecarlo, "_CHUNK_OUTPUTS", budget)
                 mp.setattr(montecarlo, "_probe_plan", recorded_plan)
