@@ -190,13 +190,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     order_sizes = _required(args, "order-range")
     batch_sizes = _required(args, "batch-range")
     out = _required(args, "out")
-    if args.divisors_only:
-        order_sizes = [o for o in order_sizes if quantity % o == 0]
     paths = [out] if len(probs) == 1 else [_per_prob_path(out, p) for p in probs]
     for i, path in enumerate(paths):
         if path in paths[:i]:
             raise UsageError(f"--crisis-probs entries {paths.index(path) + 1}"
                              f" and {i + 1} would both write {path}")
+    if args.divisors_only:
+        # no divisor of Q != 0 passes |Q|, so the scan stops there; every
+        # order divides Q = 0, and the first one is enough to reach its check
+        order_sizes = [o for o in order_sizes[:abs(quantity) or 1]
+                       if quantity % o == 0]
+    else:
+        # _check_grid's last check, O <= Q at the largest order, on the
+        # range's end before the axis is built: a range is nonempty,
+        # ascending and positive, so the whole axis would fail here first,
+        # after Q and p, with the same message
+        ModelParams(order_sizes[-1], batch_sizes[0], quantity, probs[0])
     quantity, _, order_sizes, batch_sizes = _check_grid(
         quantity, probs[0], order_sizes, batch_sizes)
     for prob, path in zip(probs, paths):

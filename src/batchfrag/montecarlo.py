@@ -51,13 +51,12 @@ Z95 = 1.960
 Z98 = 2.326
 
 # Working set of one kernel chunk, in 8-byte words (1 MiB; up to 3/2 of it
-# when a cell's trials are cut into equal chunks): a chunk column takes
-# n_batches + 1 stream outputs plus about ten words of per-column vectors
-# (seeds, draws, table indices, sums); a chunk that draws long runs
-# in part (see _probe_plan) takes fewer outputs and counts its round arrays
-# in the same budget. Past 4096 batches a column counts its crisis flags at
-# two bytes each instead of its outputs, which it draws in row blocks of
-# half this many words (see _column_words). Chunks this small stay close to a
+# when a cell's trials are cut into equal chunks): a chunk column counts its
+# n_batches crisis flags at two bytes each plus about ten words of
+# per-column vectors (see _column_words), and the chunk draws its stream
+# outputs in row blocks of at most this many words (see _draw); a chunk
+# that draws long runs in part (see _probe_plan) draws fewer rows and counts
+# its round arrays in the same budget. Chunks this small stay close to a
 # core's cache, and memory does not grow with the trial count or the grid.
 # A chunk also holds no more cells than keep each of its batch-axis tables
 # within this many words.
@@ -242,14 +241,13 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     unless the range's cells are on the order axis and have a plan. Then
     the chunk draws the rows the plan lists, the rest of its cells' long
     runs only for trials whose order is not yet recalled, and its width is
-    sized from those rows. Within 4096 batches a chunk draws its column in
-    one uint64 table; past them it draws row blocks of at most
-    ``_CHUNK_OUTPUTS // 2`` words (:func:`_draw`), one table when it fits
-    in one, and keeps row 0's draws and the crisis flags of every other
-    row. An order-axis cell has fewer orders than its horizon has batches,
-    so memory beyond one cell's tables and what the sink keeps grows with
-    neither n nor the grid; the recalls are exact integers, so chunking
-    cannot change them.
+    sized from those rows. Whatever the horizon, a chunk draws its column
+    in row blocks of at most ``_CHUNK_OUTPUTS`` words (:func:`_draw`; one
+    block when the column fits) and keeps row 0's draws and the crisis
+    flags of every other row. An order-axis cell has fewer orders than its
+    horizon has batches, so memory beyond one cell's tables and what the
+    sink keeps grows with neither n nor the grid; the recalls are exact
+    integers, so chunking cannot change them.
     """
     # widest horizon over all initial consumptions: ceil((q + b - 1) / b)
     n_batches = (q + 2 * b - 2) // b
@@ -259,9 +257,8 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     # numpy's row-by-row passes (einsum, take, outer) need a few tens of
     # columns to run at speed, so chunks keep at least _CHUNK_OUTPUTS / 4096
     # columns, and on longer horizons their flag tables grow with Q instead
-    columns = max(1, _CHUNK_OUTPUTS // min(
-        _column_words(n_batches + 1, n_batches), 4096))
-    blocks = n_batches + 11 > 4096  # draws in row blocks, as counted there
+    columns = max(1, _CHUNK_OUTPUTS // min(_column_words(n_batches + 1),
+                                           4096))
     cells_per_chunk = max(1, min(columns // n, _CHUNK_OUTPUTS // (
         (n_batches + 1) * min(b, q))))
     # a cell wider than a chunk is cut into the nearest whole number of equal
@@ -301,8 +298,7 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
                 trials = np.arange(t0, min(n, t0 + width), dtype=np.uint64)
                 seeds = derive_seeds(bases[c0:c1, None], trials)
                 u, crisis = _draw(seeds.reshape(-1), outputs, b, is_crisis,
-                                  max(1, _CHUNK_OUTPUTS // 2 // seeds.size)
-                                  if blocks else len(outputs))
+                                  max(1, _CHUNK_OUTPUTS // seeds.size))
                 if table is not None:
                     # (cell * B + u) * 2**rows + the pattern's code, in u's
                     # place
@@ -323,40 +319,42 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
                 del crisis, recalls  # not kept while the next chunk draws
 
 
-def _column_words(rows: int, n_batches: int) -> int:
+def _column_words(rows: int) -> int:
     """Words that a kernel chunk column drawing ``rows`` stream outputs (the
-    u draw, then crisis draws) of a horizon of n_batches batches counts
-    against ``_CHUNK_OUTPUTS``: its uint64 outputs and about ten words of
-    per-column vectors (seeds, draws, table indices, sums).
+    u draw, then crisis draws) counts against ``_CHUNK_OUTPUTS``.
 
-    Past 4096 batches, where 32 columns of outputs would already fill the
-    budget, a chunk instead keeps a bool table of its crisis flags and
-    draws its outputs in row blocks of half the budget (:func:`_draw`), so
-    a column counts its flags at two bytes each, the flag table and one
-    more bool table of its shape that the reductions hold (a level of
+    A chunk keeps a bool table of its crisis flags and draws its outputs in
+    row blocks of at most the whole budget (:func:`_draw`), so a column
+    counts its flags at two bytes each, the flag table and one more bool
+    table of its shape that the reductions hold (a level of
     :func:`_crisis_in_rows`' sparse table, or the adjacent crisis pairs of
-    the straddle term): 86 columns at 6,001 batches where whole outputs
-    allowed 32. Measured on a 2-vCPU Xeon (numpy 2.4), counting one byte
-    made order-axis chunks without a plan 3-9% slower than 32 columns (O
-    = 100, B = 1, Q = 6000, p = 0.055), and blocks of a quarter or all of
-    the budget ran 1-3% slower on large-q's long horizons and at Q =
-    10**6."""
-    return rows + 10 if n_batches + 11 <= 4096 else (rows - 1) // 4 + 11
+    the straddle term), plus about ten words of per-column vectors (seeds,
+    draws, table indices, sums): 86 columns at 6,001 batches, 5,698 at 50.
+    Measured on a 2-vCPU Xeon (numpy 2.4), counting one byte made
+    order-axis chunks without a plan 3-9% slower than this (O = 100, B =
+    1, Q = 6000, p = 0.055).
+
+    The blocks span the whole budget: blocks of half of it made large-q
+    4-12% slower (perfbench, 10 of 10 pairs). Its O = B = 1 call took 27.3
+    ms against 24.2 in process, and 25.3 ms at either size once glibc's
+    ``MALLOC_MMAP_THRESHOLD_`` and ``MALLOC_TRIM_THRESHOLD_`` were fixed:
+    glibc raises its mmap threshold to the largest mmap'd block freed, and
+    the O = 2, B = 3 call's 1 MiB blocks before it keep the next call's
+    large arrays on reused heap pages, where half-size blocks do not."""
+    return (rows - 1) // 4 + 11
 
 
 def _draw(seeds: np.ndarray, outputs: np.ndarray, b: int,
           is_crisis: Callable, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The initial consumption u and the crisis flags of every seed, from
     the stream outputs at ``outputs`` (a column of indices whose row 0 is
-    the u draw), drawn ``rows`` rows at a time: one uint64 table when
-    ``rows`` covers the column, else one block after another, each block's
-    flags written into one bool table, so the uint64 words of one block
-    are held at a time. Outputs are counter-based, so a block of rows
-    draws the same words as the whole column."""
+    the u draw), drawn ``rows`` rows at a time, one block after another
+    (one block when ``rows`` covers the column), each block's flags written
+    into one bool table, so the uint64 words of one block are held at a
+    time. Outputs are counter-based, so a block of rows draws the same
+    words as the whole column."""
     x = stream_outputs(seeds, outputs[:rows])
     u = belows(x[0], b)
-    if rows >= len(outputs):
-        return u, is_crisis(x[1:])
     crisis = np.empty((len(outputs) - 1, len(seeds)), dtype=bool)
     is_crisis(x[1:], out=crisis[:rows - 1])
     for r in range(rows, len(outputs), rows):
@@ -451,16 +449,18 @@ def _probe_plan(tables: _OrderAxis, n_batches: int, probe: float,
     Returns None, for chunks that draw every row, when no run is long, or
     when a chunk would skip fewer than ``_CHUNK_OUTPUTS`` stream outputs:
     each round of :func:`_finish_long_runs` costs a few tens of numpy calls
-    whatever its size, and in ``validate -n 1000`` (B = 1, chunks of two
-    cells, 58,000 outputs skipped) the rounds cost more than the skipped
-    outputs. Else returns the stream output indices to draw (a column),
-    ``tables`` with every row replaced by its position among the drawn
-    rows, the long runs for :func:`_finish_long_runs` (their orders, the
-    cell of each, and the stream outputs of the first row not drawn and of
-    the last row), and the trials per chunk. A chunk column takes the
-    :func:`_column_words` of its drawn rows (their stream outputs and about
-    ten words of vectors, or past 4096 batches their crisis flags at two
-    bytes each) and its share of the round arrays: 3 words per flag for at
+    whatever its size, and on chunks of two of ``validate``'s cells at
+    1,000 trials (B = 1, about 58,000 outputs skipped) the rounds cost more
+    than the skipped outputs. (``validate -n 1000`` makes two plans, for
+    its B = 1 ranges of O = 42 .. 50, whose chunks of five and four cells
+    skip 160,000 and 148,000 outputs.) Else returns the stream output
+    indices to draw (a column), ``tables`` with every row replaced by its
+    position among the drawn rows, the long runs for
+    :func:`_finish_long_runs` (their orders, the cell of each, and the
+    stream outputs of the first row not drawn and of the last row), and the
+    trials per chunk. A chunk column takes the :func:`_column_words` of its
+    drawn rows (their crisis flags at two bytes each and about ten words of
+    vectors) and its share of the round arrays: 3 words per flag for at
     most a quarter of the long runs' (order, trial) pairs.
     """
     head, tail, stop = tables.head, tables.tail, tables.stop
@@ -482,7 +482,7 @@ def _probe_plan(tables: _OrderAxis, n_batches: int, probe: float,
               stop[long].astype(np.uint64), probe)
     outputs = np.concatenate(([0], np.flatnonzero(read) + 1)).astype(
         np.uint64)[:, None]
-    width = (_column_words(len(outputs), n_batches)
+    width = (_column_words(len(outputs))
              + -(-3 * probe * len(long) // (4 * cells)))
     trials = min(n, max(1, _CHUNK_OUTPUTS // min(width, 4096) // cells))
     if (n_batches + 1 - len(outputs)) * trials * cells < _CHUNK_OUTPUTS:

@@ -307,6 +307,55 @@ class TestSweep:
                   for ln in path.read_text().splitlines()[1:-1]]
         assert orders == [1, 2, 5, 10]
 
+    @pytest.mark.parametrize("quantity,start,divisors,message,reached", [
+        ("12", 2, False, "order size exceeds total quantity"
+                         " (1000000000000000000 > 12)", []),
+        ("0", 2, False, "total_quantity must be >= 1, got 0", []),
+        ("0", 2, True, "total_quantity must be >= 1, got 0", [1]),
+        ("-7", 8, True, "order_sizes must be nonempty", [0]),
+        ("-6", 2, True, "total_quantity must be >= 1, got -6", [3])],
+        ids=["past-quantity", "zero-quantity", "zero-quantity-divisors",
+             "no-divisor", "negative-quantity-divisors"])
+    def test_order_range_checked_before_its_axis(
+            self, capsys, tmp_path, monkeypatch, quantity, start, divisors,
+            message, reached):
+        """An order range past Q fails the model's O <= Q rule, after its Q
+        check, without an axis of 10**18 orders; with --divisors-only the
+        scan stops at |Q|. The messages are those of _check_grid on the
+        whole axis, and ``reached`` the lengths of the axes it gets."""
+        lengths = []
+        check_grid = cli._check_grid
+
+        def recorded(q, p, orders, batches):
+            lengths.append(len(orders))
+            assert len(orders) <= 12
+            return check_grid(q, p, orders, batches)
+
+        monkeypatch.setattr(cli, "_check_grid", recorded)
+        code, out, err = run_cli(
+            capsys, "sweep", "-Q", quantity, "-p", "0.1",
+            "--order-range", f"{start}:{10**18}", "--batch-range", "1:2",
+            *(["--divisors-only"] if divisors else []), "--analytic-only",
+            "--out", str(tmp_path / "s.csv"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+        assert lengths == reached
+        assert not list(tmp_path.iterdir())
+
+    def test_divisor_scan_stops_at_the_quantity(self, tmp_path):
+        """--divisors-only over an order range to 10**18 scans Q orders,
+        so it finishes at once (a whole scan would take centuries)."""
+        path = tmp_path / "d.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "batchfrag.cli", "sweep", "-Q", "12",
+             "-p", "0.1", "--order-range", f"1:{10**18}", "--batch-range",
+             "1:2", "--divisors-only", "--analytic-only", "--out",
+             str(path)], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        orders = [int(ln.split(",")[0])
+                  for ln in path.read_text().splitlines()[1:-1:2]]
+        assert orders == [1, 2, 3, 4, 6, 12]
+
     def test_reversed_range_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "-Q", "50", "-p", "0.15", "--order-range", "5:2",

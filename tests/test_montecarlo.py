@@ -214,12 +214,12 @@ class TestTrialRecalls:
         assert peak < 128 * 2**20
 
     @pytest.mark.parametrize("o,bound", [(1, 24), (2, 40)])
-    def test_memory_bounded_past_4096_batches(self, o, bound):
-        """Past 4096 batches a chunk keeps its crisis flags, a byte each,
-        and draws its stream outputs in row blocks, and an order-axis chunk
-        compares each cell's u with its orders' limits in place: at
-        Q = 200,000 and 64 trials, chunks that held their whole uint64
-        tables peaked at 62.6 MiB (O = 1) and 67.9 MiB (O = 2)."""
+    def test_memory_bounded_on_long_horizons(self, o, bound):
+        """A chunk keeps its crisis flags, a byte each, and draws its stream
+        outputs in row blocks, and an order-axis chunk compares each cell's
+        u with its orders' limits in place: at Q = 200,000 and 64 trials,
+        chunks that held their whole uint64 tables peaked at 62.6 MiB (O =
+        1) and 67.9 MiB (O = 2); these peak near 8.9 and 25.6 MiB."""
         config = EstimateConfig(ModelParams(o, 1, 200_000, 0.15), 64, 1)
         tracemalloc.start()
         try:
@@ -264,8 +264,9 @@ class TestTrialRecalls:
 
 
 class TestRowBlocks:
-    """Past 4096 batches a chunk draws its stream outputs in row blocks of
-    at most half of ``_CHUNK_OUTPUTS`` words; no draw or recall may change."""
+    """A chunk draws its column of stream outputs in row blocks of at most
+    ``_CHUNK_OUTPUTS`` words, whatever its horizon; no draw or recall may
+    change."""
 
     @staticmethod
     def _blocks(mp, n_batches):
@@ -283,38 +284,42 @@ class TestRowBlocks:
         return blocks
 
     @pytest.mark.parametrize("budget,blocks", [
-        (1 << 15, [1]), (1 << 14, [2]), (1 << 10, range(3, 10))])
+        (1 << 15, [1]), (1 << 13, [2]), (1 << 10, range(3, 10))])
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
     def test_blocks_match_one_draw_and_single_trials(self, budget, blocks,
                                                      data):
-        """An O = 1 cell and an order-axis cell, three trials each, on
-        horizons just past 4096 batches, under budgets whose chunks of every
-        row draw them in one, two or many blocks (one trial a chunk, some
-        with probe plans): every recall equals one whole-table draw's (the
-        default budget at three trials) and sampled trials equal
-        run_trial."""
+        """An O = 1 cell and an order-axis cell on a horizon just past 4096
+        batches, three trials each, and on Q = 50, B = 1, 200 trials each,
+        under budgets whose chunks of every row draw them in one, two or
+        many blocks (past 4096 batches one trial a chunk at 1 << 10; some
+        chunks with probe plans): every recall equals one whole-column
+        draw's (the default budget) and sampled trials equal run_trial."""
         b = data.draw(st.integers(1, 2), label="B")
-        q = b * 4086 + data.draw(st.integers(0, 200), label="extra units")
-        orders = [1, data.draw(st.integers(b + 1, q), label="O")]
-        p = data.draw(st.sampled_from([0.0, 2**-53, 0.3, 1.0]), label="p")
-        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-        seeds, n = [derive_seed(seed, o, b) for o in orders], 3
-        n_batches = (q + 2 * b - 2) // b
-        with pytest.MonkeyPatch.context() as mp:
-            whole = self._blocks(mp, n_batches)
-            expected = group_recalls(orders, b, q, p, seeds, n)
-        assert whole and set(whole) == {1}
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo, "_CHUNK_OUTPUTS", budget)
-            drawn = self._blocks(mp, n_batches)
-            recalls = group_recalls(orders, b, q, p, seeds, n)
-        assert drawn and set(drawn) <= set(blocks)
-        np.testing.assert_array_equal(recalls, expected)
-        i = data.draw(st.integers(0, n - 1), label="trial")
-        for c, (o, cell_seed) in enumerate(zip(orders, seeds)):
-            assert recalls[c, i] == run_trial(TrialConfig.from_seed(
-                ModelParams(o, b, q, p), derive_seed(cell_seed, i)))
+        horizons = ((b, b * 4086 + data.draw(st.integers(0, 200),
+                                             label="extra units"), 3),
+                    (1, 50, 200))
+        for b, q, n in horizons:
+            orders = [1, data.draw(st.integers(b + 1, q), label="O")]
+            p = data.draw(st.sampled_from([0.0, 2**-53, 0.3, 1.0]),
+                          label="p")
+            seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+            seeds = [derive_seed(seed, o, b) for o in orders]
+            n_batches = (q + 2 * b - 2) // b
+            with pytest.MonkeyPatch.context() as mp:
+                whole = self._blocks(mp, n_batches)
+                expected = group_recalls(orders, b, q, p, seeds, n)
+            assert whole and set(whole) == {1}
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(montecarlo, "_CHUNK_OUTPUTS", budget)
+                drawn = self._blocks(mp, n_batches)
+                recalls = group_recalls(orders, b, q, p, seeds, n)
+            assert drawn and set(drawn) <= set(blocks)
+            np.testing.assert_array_equal(recalls, expected)
+            i = data.draw(st.integers(0, n - 1), label="trial")
+            for c, (o, cell_seed) in enumerate(zip(orders, seeds)):
+                assert recalls[c, i] == run_trial(TrialConfig.from_seed(
+                    ModelParams(o, b, q, p), derive_seed(cell_seed, i)))
 
 
 class TestKernelTables:
@@ -897,7 +902,7 @@ class TestRecallTable:
         on the table path, which asks for no plan. A call on the table path
         builds no W/S table and runs no fold; one that reduces its
         batch-axis cells (O <= B) builds and folds the tables of each chunk
-        of them once: three chunks at O = 1 .. 7, one elsewhere."""
+        of them once: two chunks at O = 1 .. 7, one elsewhere."""
         rows = (q + 2 * b - 2) // b
         n = (b << rows) + slack
         tables = record_calls(monkeypatch, "_recall_table")
@@ -914,7 +919,12 @@ class TestRecallTable:
         chunks = [args[0].tolist() for args, _, _ in axes]
         assert [o for cells in chunks for o in cells] == (
             [] if used else [o for o in orders if o <= b])
-        assert len(chunks) == (0 if used else 3 if b == 7 else 1)
+        # whole cells of n trials to a chunk, as many as its columns hold
+        per_chunk = max(1, montecarlo._CHUNK_OUTPUTS
+                        // montecarlo._column_words(rows + 1) // n)
+        batch_cells = sum(o <= b for o in orders)
+        assert len(chunks) == (0 if used else -(-batch_cells // per_chunk))
+        assert used or b != 7 or len(chunks) > 1
         # each chunk's own tables folded once
         assert len(folds) == len(axes)
         assert all(fold[2] is axis for (fold, _, _), (*_, axis)
@@ -1042,9 +1052,9 @@ class TestEarlyResolution:
     def test_several_probing_cells_in_one_chunk(self, p, probe):
         """Cells whose long runs end in rounds, every cell in one chunk (the
         default budget), two to a chunk (a budget of 40 columns of 16
-        trials, a column of this horizon past 4096 batches counting
-        ``q // 4 + 11`` words) and one to a chunk: each chunk's rounds draw
-        from its own cells' seeds."""
+        trials, a column of this horizon counting ``q // 4 + 11`` words)
+        and one to a chunk: each chunk's rounds draw from its own cells'
+        seeds."""
         orders, b, q, n = [150, 210, 300, 420], 1, 4200, 16
         seeds = [derive_seed(3, o) for o in orders]
         expected = [trial_recalls(EstimateConfig(ModelParams(o, b, q, p), n,
@@ -1317,6 +1327,16 @@ class TestSweep:
         assert grid.ci95_half_width is None
         assert grid.mean_abs_error_pct is None
         assert grid.n_trials is None
+
+    @pytest.mark.parametrize("n", [1_000, 10_000])
+    def test_validate_sweep_memory_bounded(self, n):
+        """The 5,000 cells of ``validate`` peak near 1.7 MiB at 1,000 trials
+        and 1.9 MiB at 10,000: a chunk's row blocks span the whole budget
+        of 2**17 words, and no table grows with the grid or the trials."""
+        grid, peak = traced_peak(sweep, 50, 0.15, range(1, 51),
+                                 range(1, 101), n)
+        assert grid.n_trials == n
+        assert peak < 4 * 2**20
 
     def test_cells_recomputable_in_isolation(self):
         """A cell's estimate depends only on (base_seed, o, b)."""
