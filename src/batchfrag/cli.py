@@ -200,12 +200,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # order divides Q = 0, and the first one is enough to reach its check
         order_sizes = [o for o in order_sizes[:abs(quantity) or 1]
                        if quantity % o == 0]
-    else:
-        # _check_grid's last check, O <= Q at the largest order, on the
-        # range's end before the axis is built: a range is nonempty,
-        # ascending and positive, so the whole axis would fail here first,
-        # after Q and p, with the same message
-        ModelParams(order_sizes[-1], batch_sizes[0], quantity, probs[0])
     quantity, _, order_sizes, batch_sizes = _check_grid(
         quantity, probs[0], order_sizes, batch_sizes)
     for prob, path in zip(probs, paths):

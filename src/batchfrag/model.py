@@ -62,10 +62,15 @@ def _check_positive_int(name: str, value, minimum: int | None = 1) -> int:
     return as_int
 
 
-def _check_axis(name: str, values: Sequence[int]) -> tuple[int, ...]:
+def _check_axis(name: str, values: Sequence[int]) -> Sequence[int]:
     """A sweep axis of ``name`` values (``order_size`` or ``batch_size``):
     nonempty, strictly ascending, and each element checked by
-    :func:`_check_positive_int` as :class:`ModelParams` checks ``name``."""
+    :func:`_check_positive_int` as :class:`ModelParams` checks ``name``.
+    Returns a tuple, or a ``range`` that passes as it is: one that is
+    nonempty, ascending and starts at 1 or above, whatever its length."""
+    if (isinstance(values, range) and values and values.step > 0
+            and values.start >= 1):
+        return values
     vals = tuple(_check_positive_int(name, v) for v in values)
     if not vals:
         raise InvalidParamsError(f"{name}s must be nonempty")
@@ -220,11 +225,14 @@ def _check_grid(total_quantity: int, crisis_prob: float,
                 ) -> tuple[int, float, tuple[int, ...], tuple[int, ...]]:
     """Check a grid's inputs as :class:`ModelParams` checks every cell, in
     its order: both axes by :func:`_check_axis`, then Q and p, then O <= Q
-    at the largest order size. Returns them normalised, in argument order."""
+    at the largest order size. Returns them normalised, in argument order.
+    A ``range`` axis is checked without being built, so an order range far
+    past Q fails at once."""
     orders = _check_axis("order_size", order_sizes)
     batches = _check_axis("batch_size", batch_sizes)
     corner = ModelParams(orders[-1], batches[0], total_quantity, crisis_prob)
-    return corner.total_quantity, corner.crisis_prob, orders, batches
+    return (corner.total_quantity, corner.crisis_prob, tuple(orders),
+            tuple(batches))
 
 
 def _recall_size_surface(q: int, p: float, order_sizes: tuple[int, ...],

@@ -25,6 +25,7 @@ bit-for-bit; the test suite asserts that parity cell by cell.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -53,27 +54,33 @@ Z98 = 2.326
 # Working set of one kernel chunk, in 8-byte words (1 MiB; up to 3/2 of it
 # when a cell's trials are cut into equal chunks): a chunk column counts its
 # n_batches crisis flags at two bytes each plus about ten words of
-# per-column vectors (see _column_words), and the chunk draws its stream
-# outputs in row blocks of at most this many words (see _draw); a chunk
-# that draws long runs in part (see _probe_plan) draws fewer rows and counts
-# its round arrays in the same budget. Chunks this small stay close to a
-# core's cache, and memory does not grow with the trial count or the grid.
-# A chunk also holds no more cells than keep each of its batch-axis tables
-# within this many words.
+# per-column vectors (see _column_words), or on the recall table's short
+# horizons its drawn rows and four words of vectors (see _group_recalls),
+# and the chunk draws its stream outputs in row blocks of at most this many
+# words (see _draw); a chunk that draws long runs in part (see _probe_plan)
+# draws fewer rows and counts its round arrays in the same budget. Chunks
+# this small stay close to a core's cache, and memory does not grow with
+# the trial count or the grid. A chunk also holds no more cells than keep
+# each of its batch-axis tables within this many words, and a recall table
+# has at most a quarter of this many entries.
 _CHUNK_OUTPUTS = 1 << 17
 
-# A kernel call reads its recalls from a _recall_table when the horizon has
+# A kernel call reads its recalls from _recall_table when the horizon has
 # at most _TABLE_ROWS batches (a crisis pattern's code then fits a uint8),
-# each cell has at least one trial per table entry of its own (B * 2**rows
-# of them), and the table has at most _CHUNK_OUTPUTS // 4 entries. An entry
-# takes a few integer adds to build, far less than a trial's reduction
-# (validate's 89 tables build in about 20 ms of its 0.2 s at 1,000 trials,
-# 2-vCPU Xeon). Measured there (medians of 9 interleaved validate
-# sweeps), the groups that one trial per entry puts on the table and two
-# would not ran 13-23% faster on it at 300 trials (B = 17 .. 75) and 27%
-# faster at 1,000 (B = 10 and 16); at 10,000 trials the size cap alone
-# decides. The cap leaves out validate's B = 7 .. 9, 11 and 12, whose tables
-# (up to 89,600 entries) raised its peak RSS by 0.5 MiB.
+# and each cell has at least one trial per table entry of its own and at
+# most _CHUNK_OUTPUTS // 4 of them (B * 2**rows). Each range of cells then
+# builds a table of its own cells within that cap. An entry takes a few
+# integer adds to build, far less than a trial's reduction (the 89 tables
+# that validate built at 1,000 trials, one per call, took about 20 ms of
+# its 0.2 s, 2-vCPU Xeon). Measured there (medians of 9 interleaved
+# validate sweeps), the groups that one trial per entry puts on the table
+# and two would not ran 13-23% faster on it at 300 trials (B = 17 .. 75)
+# and 27% faster at 1,000 (B = 10 and 16). The cap is per range, not per
+# call, so that validate's B = 7 .. 9, 11 and 12 (up to 2,048 entries a
+# cell) can take the table too: one table per call under a cap of 2**16
+# entries would make the build's traced peak pass the reductions' at the
+# gate extremes (562,560 against 541,585 bytes at 16 cells, B = 64,
+# Q = 258).
 _TABLE_ROWS = 8
 
 
@@ -215,95 +222,117 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
     own row.
 
     On a short horizon (at most ``_TABLE_ROWS`` batches) with enough trials
-    per cell, which each call decides first, neither reduction runs:
-    :func:`_recall_table` builds the recall of every (cell, u, crisis
-    pattern) once per call from the order tables of every cell, whatever
-    its order size, and each trial's recall is the table entry at ``(cell
-    * B + u) * 2**rows + code``, with ``code = sum_j crisis_j * 2**j`` taken
-    by one einsum over the flags' bytes. Every row is still drawn, and an
-    entry is the recall either reduction gives its column, so draws and
-    recalls are unchanged; such calls build no W/S table, no fold and no
-    probe plan, and keep no order table past the build.
+    per cell and a cell's ``B * 2**rows`` table entries within the cap of
+    ``_CHUNK_OUTPUTS // 4``, which each call decides first, neither
+    reduction runs: each range of cells builds, with :func:`_recall_table`,
+    the recall of every (cell, u, crisis pattern) of its own cells from
+    their order tables, whatever their order sizes, and each trial's recall
+    is the entry at ``(cell * B + u) * 2**rows + code`` of its range's
+    table, the cell counted from the range's first, with ``code = sum_j
+    crisis_j * 2**j`` taken by one einsum over the flags' bytes. A range
+    holds as many whole chunks of cells as keep its table within the cap.
+    Every row is still drawn, and an entry is the recall either reduction
+    gives its column, so draws and recalls are unchanged; such calls build
+    no W/S table, no fold and no probe plan, and keep no order table past a
+    build.
 
     Columns are processed in chunks with a working set of about
-    ``_CHUNK_OUTPUTS`` words (:func:`_column_words` a column; more where 32
-    columns of crisis flags pass it): whole cells at a time when a cell's
-    trials fit, as many as keep W and S (``(n_batches + 1) * min(B, Q)``
-    words a cell each) within the same budget, else an equal part of one
-    cell, whose trials are cut into the nearest whole number of chunks (so
-    a chunk holds 3/4 to 3/2 of the budget). Chunks are cut where the batch
-    axis ends, so each chunk's cells share one axis. A range of cells drops
-    the last range's tables, builds its own (W and S, or order tables and
-    their :func:`_probe_plan`), and makes one reduction (or one table
-    lookup, which reads every cell) and one ``sink`` call per chunk of its
-    trials. Every chunk draws its stream outputs from a column of output
+    ``_CHUNK_OUTPUTS`` words: off the table path :func:`_column_words` a
+    column (more where 32 columns of crisis flags pass it); on it a column's
+    drawn rows, at most 9 and so one row block, fill the row-block budget,
+    and its four words of vectors (seed, u, table index, recall) a budget of
+    the same size, so a chunk has ``min(_CHUNK_OUTPUTS // (n_batches + 1),
+    _CHUNK_OUTPUTS // 4)`` columns. A chunk takes whole cells at a time when
+    a cell's trials fit, as many as keep W and S (``(n_batches + 1) * min(B,
+    Q)`` words a cell each) within the same budget, or on the table path as
+    many as its range holds, else an equal part of one cell, whose trials
+    are cut into the nearest whole number of chunks (so a chunk holds 3/4 to
+    3/2 of the budget). Chunks are cut where the batch axis ends, so each
+    chunk's cells share one axis, except on the table path, where one lookup
+    reads both. A range of cells (off the table path, the cells of one
+    chunk) drops the last range's tables, builds its own (W and S, order
+    tables and their :func:`_probe_plan`, or a recall table), and makes one
+    reduction or table lookup and one ``sink`` call per chunk of its cells
+    and trials. Every chunk draws its stream outputs from a column of output
     indices: all ``n_batches + 1`` rows, a column built once per call,
-    unless the range's cells are on the order axis and have a plan. Then
-    the chunk draws the rows the plan lists, the rest of its cells' long
-    runs only for trials whose order is not yet recalled, and its width is
-    sized from those rows. Whatever the horizon, a chunk draws its column
-    in row blocks of at most ``_CHUNK_OUTPUTS`` words (:func:`_draw`; one
-    block when the column fits) and keeps row 0's draws and the crisis
-    flags of every other row. An order-axis cell has fewer orders than its
-    horizon has batches, so memory beyond one cell's tables and what the
-    sink keeps grows with neither n nor the grid; the recalls are exact
-    integers, so chunking cannot change them.
+    unless the range's cells are on the order axis and have a plan. Then the
+    chunk draws the rows the plan lists, the rest of its cells' long runs
+    only for trials whose order is not yet recalled, and its width is sized
+    from those rows. Whatever the horizon, a chunk draws its column in row
+    blocks of at most ``_CHUNK_OUTPUTS`` words (:func:`_draw`; one block
+    when the column fits) and keeps row 0's draws and the crisis flags of
+    every other row. An order-axis cell has fewer orders than its horizon
+    has batches, so memory beyond one cell's tables and what the sink keeps
+    grows with neither n nor the grid; the recalls are exact integers, so
+    chunking cannot change them.
     """
     # widest horizon over all initial consumptions: ceil((q + b - 1) / b)
     n_batches = (q + 2 * b - 2) // b
     is_crisis = unit_less(p)
     orders = np.array(order_sizes, dtype=np.int64)
     bases = np.asarray(base_seeds, dtype=np.uint64)
-    # numpy's row-by-row passes (einsum, take, outer) need a few tens of
-    # columns to run at speed, so chunks keep at least _CHUNK_OUTPUTS / 4096
-    # columns, and on longer horizons their flag tables grow with Q instead
-    columns = max(1, _CHUNK_OUTPUTS // min(_column_words(n_batches + 1),
-                                           4096))
-    cells_per_chunk = max(1, min(columns // n, _CHUNK_OUTPUTS // (
-        (n_batches + 1) * min(b, q))))
+    split = int(np.searchsorted(orders, b, side="right"))
+    cap = _CHUNK_OUTPUTS // 4  # entries of one recall table
+    on_table = n_batches <= _TABLE_ROWS and b << n_batches <= min(n, cap)
+    if on_table:
+        # a column's drawn rows (at most 9) are one row block, and it holds
+        # four words of vectors; a range of cells holds as many whole chunks
+        # of them as keep its table within the cap
+        columns = min(_CHUNK_OUTPUTS // (n_batches + 1), cap)
+        per_range = cap // (b << n_batches)
+        cells_per_chunk = max(1, min(columns // n, per_range))
+        cells_per_range = per_range // cells_per_chunk * cells_per_chunk
+        weights = (1 << np.arange(n_batches)).astype(np.uint8)
+        offsets = np.arange(0, cells_per_range * b, b)[:, None]  # cell * B
+        axes = ((0, len(orders)),)  # one lookup reads both axes
+    else:
+        # numpy's row-by-row passes (einsum, take, outer) need a few tens of
+        # columns to run at speed, so chunks keep at least _CHUNK_OUTPUTS /
+        # 4096 columns, and on longer horizons their flag tables grow with Q
+        columns = max(1, _CHUNK_OUTPUTS // min(_column_words(n_batches + 1),
+                                               4096))
+        cells_per_chunk = cells_per_range = max(1, min(
+            columns // n, _CHUNK_OUTPUTS // ((n_batches + 1) * min(b, q))))
+        axes = ((0, split), (split, len(orders)))
     # a cell wider than a chunk is cut into the nearest whole number of equal
     # chunks, 3/4 to 3/2 of the budget wide: a last chunk of a few hundred
     # trials would cost the fixed numpy calls of a full one
     trials_per_chunk = -(-n // max(1, round(n / columns)))
-    table = None
-    split = int(np.searchsorted(orders, b, side="right"))
-    if (n_batches <= _TABLE_ROWS and b << n_batches <= n
-            and len(orders) * b << n_batches <= _CHUNK_OUTPUTS // 4):
-        # every cell from its order masks; the order tables are not kept
-        table = _recall_table(_order_axis_tables(orders, b, q), b, q,
-                              n_batches)
-        weights = (1 << np.arange(n_batches)).astype(np.uint8)
-        offsets = np.arange(0, len(orders) * b, b)[:, None]  # cell * B
-        axes = ((0, len(orders)),)  # one lookup reads every cell
-    else:
-        axes = ((0, split), (split, len(orders)))
     every_row = np.arange(n_batches + 1, dtype=np.uint64)[:, None]
     probe = _probe_rows(p)
     for first, last in axes:
-        for c0 in range(first, last, cells_per_chunk):
-            c1 = min(last, c0 + cells_per_chunk)
+        for r0 in range(first, last, cells_per_range):
+            r1 = min(last, r0 + cells_per_range)
             outputs, rounds, width = every_row, None, trials_per_chunk
-            tables = plan = None  # the last range's, dropped before the build
-            if table is None and c0 < split:
+            # the last range's tables, dropped before the build
+            table = tables = plan = None
+            if on_table:
+                # every cell from its order masks; the order tables are not
+                # kept
+                table = _recall_table(_order_axis_tables(orders[r0:r1], b, q),
+                                      b, q, n_batches)
+            elif r0 < split:
                 tables = _batch_axis_fold(
-                    orders[c0:c1], b,
-                    _batch_axis_tables(orders[c0:c1], b, q, n_batches),
-                    (c1 - c0) * trials_per_chunk)
-            elif table is None:
-                tables = _order_axis_tables(orders[c0:c1], b, q)
+                    orders[r0:r1], b,
+                    _batch_axis_tables(orders[r0:r1], b, q, n_batches),
+                    (r1 - r0) * trials_per_chunk)
+            else:
+                tables = _order_axis_tables(orders[r0:r1], b, q)
                 plan = _probe_plan(tables, n_batches, probe, n)
                 if plan is not None:
                     outputs, tables, rounds, width = plan
-            for t0 in range(0, n, width):
+            for c0, t0 in itertools.product(range(r0, r1, cells_per_chunk),
+                                            range(0, n, width)):
+                c1 = min(r1, c0 + cells_per_chunk)
                 trials = np.arange(t0, min(n, t0 + width), dtype=np.uint64)
                 seeds = derive_seeds(bases[c0:c1, None], trials)
                 u, crisis = _draw(seeds.reshape(-1), outputs, b, is_crisis,
                                   max(1, _CHUNK_OUTPUTS // seeds.size))
-                if table is not None:
+                if on_table:
                     # (cell * B + u) * 2**rows + the pattern's code, in u's
-                    # place
+                    # place, with the cell counted from the range's first
                     at = u.reshape(c1 - c0, -1)
-                    at += offsets[c0:c1]
+                    at += offsets[c0 - r0:c1 - r0]
                     at <<= n_batches
                     at += np.einsum("j,ji->i", weights, crisis.view(np.uint8)
                                     ).reshape(c1 - c0, -1)
@@ -321,7 +350,9 @@ def _group_recalls(order_sizes: Sequence[int], b: int, q: int, p: float,
 
 def _column_words(rows: int) -> int:
     """Words that a kernel chunk column drawing ``rows`` stream outputs (the
-    u draw, then crisis draws) counts against ``_CHUNK_OUTPUTS``.
+    u draw, then crisis draws) counts against ``_CHUNK_OUTPUTS`` when the
+    chunk reduces its trials (a chunk on the recall table counts its drawn
+    rows and four words instead, see :func:`_group_recalls`).
 
     A chunk keeps a bool table of its crisis flags and draws its outputs in
     row blocks of at most the whole budget (:func:`_draw`), so a column
@@ -369,6 +400,8 @@ def _recall_table(tables: _OrderAxis, b: int, q: int,
     """Recall of every (cell, initial consumption u, crisis pattern) of the
     cells of ``tables``, whose horizon has ``rows`` batches, entry ``(cell
     * B + u) * 2**rows + code`` with ``code = sum_j crisis_j * 2**j``.
+    :func:`_group_recalls` builds one for each range of its cells, at most
+    ``_CHUNK_OUTPUTS // 4`` entries.
 
     A trial recalls the size s_k of each order k whose rows m_k(u) meet the
     code: its run [head + 1, stop), its head row iff u < head_lim and its
@@ -611,17 +644,20 @@ def _crisis_in_rows(crisis: np.ndarray, start: np.ndarray, stop: np.ndarray,
     ``crisis[:, cell[k], i]`` is set (False for an empty run).
 
     Level m of a sparse table holds, in row j, the OR of rows j .. j + 2**m
-    - 1; it is level m - 1 ORed with itself shifted by 2**(m - 1) rows. A run
-    of n >= 1 rows is the union of the two level-m windows that start at its
-    first row and end at its last, for m = floor(log2(n)), so each run costs
-    two reads. Levels are built up to the longest run's and read as they
-    pass. An order's always-touched run has floor((O - 1) / B) or
-    ceil((O - 1) / B) rows, so a cell needs floor(log2(ceil((O - 1) / B)))
-    levels: none at O = B + 1, 6 at O = 100, B = 1 (a run drawn in part is
-    read for its first ``_probe_rows(p)`` rows only: 10 rows, 3 levels, at
-    O = 100, B = 1, p = 0.131). Each level is one pass over contiguous rows,
-    about 0.04 ns per flag (2-vCPU Xeon, numpy 2.4). A prefix count would
-    answer the same question, but numpy computes it one element after another:
+    - 1; it is level m - 1 ORed with itself shifted by 2**(m - 1) rows. A
+    run of n >= 1 rows is the union of the two level-m windows that start at
+    its first row and end at its last, for m = floor(log2(n)), so each run
+    costs two reads. Levels are built up to the longest run's and read as
+    they pass; from level 2 on each is built in place in level 1's buffer
+    (row j reads rows j and j + 2**(m - 1), which no earlier row's write
+    reaches), so beside the flags one level is held, not two. An order's
+    always-touched run has floor((O - 1) / B) or ceil((O - 1) / B) rows, so
+    a cell needs floor(log2(ceil((O - 1) / B))) levels: none at O = B + 1, 6
+    at O = 100, B = 1 (a run drawn in part is read for its first
+    ``_probe_rows(p)`` rows only: 10 rows, 3 levels, at O = 100, B = 1, p =
+    0.131). Each level is one pass over contiguous rows, about 0.04 ns per
+    flag (2-vCPU Xeon, numpy 2.4). A prefix count would answer the same
+    question, but numpy computes it one element after another:
     ``cumsum(axis=0)`` walks each column through a casting buffer, 3.5-7 ns
     per flag at 6,001 rows x 32 columns; a C-contiguous transposed int32
     copy scanned along its rows costs as much or more there; and adding
@@ -631,8 +667,13 @@ def _crisis_in_rows(crisis: np.ndarray, start: np.ndarray, stop: np.ndarray,
     touched = np.zeros((len(start), crisis.shape[2]), dtype=bool)
     window = crisis
     for m in range(int(level.max()) + 1):
-        if m:
-            window = window[:-(1 << (m - 1))] | window[1 << (m - 1):]
+        if m == 1:
+            window = crisis[:-1] | crisis[1:]
+        elif m:  # in level 1's buffer: each row reads rows at or past it
+            shift = 1 << (m - 1)
+            np.bitwise_or(window[:-shift], window[shift:],
+                          out=window[:-shift])
+            window = window[:-shift]
         at = np.flatnonzero(level == m)
         if len(at):
             touched[at] = (window[start[at], cell[at]]

@@ -309,8 +309,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("quantity,start,divisors,message,reached", [
         ("12", 2, False, "order size exceeds total quantity"
-                         " (1000000000000000000 > 12)", []),
-        ("0", 2, False, "total_quantity must be >= 1, got 0", []),
+                         " (1000000000000000000 > 12)", [10**18 - 1]),
+        ("0", 2, False, "total_quantity must be >= 1, got 0", [10**18 - 1]),
         ("0", 2, True, "total_quantity must be >= 1, got 0", [1]),
         ("-7", 8, True, "order_sizes must be nonempty", [0]),
         ("-6", 2, True, "total_quantity must be >= 1, got -6", [3])],
@@ -319,16 +319,17 @@ class TestSweep:
     def test_order_range_checked_before_its_axis(
             self, capsys, tmp_path, monkeypatch, quantity, start, divisors,
             message, reached):
-        """An order range past Q fails the model's O <= Q rule, after its Q
-        check, without an axis of 10**18 orders; with --divisors-only the
-        scan stops at |Q|. The messages are those of _check_grid on the
-        whole axis, and ``reached`` the lengths of the axes it gets."""
+        """An order range past Q reaches _check_grid as a range, which fails
+        the model's O <= Q rule after its Q check without building an axis
+        of 10**18 orders; with --divisors-only the scan stops at |Q|. The
+        messages are those of _check_grid, and ``reached`` the lengths of
+        the axes it gets."""
         lengths = []
         check_grid = cli._check_grid
 
         def recorded(q, p, orders, batches):
             lengths.append(len(orders))
-            assert len(orders) <= 12
+            assert isinstance(orders, range) or len(orders) <= 12
             return check_grid(q, p, orders, batches)
 
         monkeypatch.setattr(cli, "_check_grid", recorded)

@@ -5,6 +5,8 @@ import hashlib
 import itertools
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -229,6 +231,16 @@ class TestTrialRecalls:
             tracemalloc.stop()
         assert 0 < estimate.mean_recall < 200_000
         assert peak <= bound * 2**20
+
+    def test_sparse_table_levels_share_one_buffer(self):
+        """_crisis_in_rows builds its levels from 2 on in place in level 1's
+        buffer: at Q = 200,000, O = 100, B = 1, p = 0 and 64 trials (six
+        levels, no run drawn in part) the peak is about 14.1 MiB, where a
+        new array per level peaked at 20.0 MiB."""
+        config = EstimateConfig(ModelParams(100, 1, 200_000, 0.0), 64, 1)
+        estimate, peak = traced_peak(estimate_recall, config)
+        assert estimate.total_recalled == 0
+        assert peak <= 16 * 2**20
 
     @pytest.mark.parametrize("o", [1, 7])
     def test_memory_independent_of_batch_size(self, o):
@@ -687,12 +699,16 @@ class TestExhaustiveGroupRecalls:
             combos = b << rows
             orders = tuple(range(1, q + 1))
             n = 6 * combos if path.startswith("table") else combos
+            if path == "table, cells cut" and rows <= 8:
+                # a chunk holds at most the cap's q * combos columns
+                n *= q
             if path == "probe plans" and b > 1:
                 continue  # only B = 1 has order runs of more than 4 rows
             seeds = [derive_seed(q, o, b) for o in orders]
             with pytest.MonkeyPatch.context() as mp:
                 if path == "table, cells cut":
-                    # the smallest budget whose size cap admits the table
+                    # the smallest budget whose size cap admits every cell
+                    # in one table
                     mp.setattr(montecarlo, "_CHUNK_OUTPUTS", 4 * q * combos)
                 if path.startswith("reductions") or path == "probe plans":
                     mp.setattr(montecarlo, "_TABLE_ROWS", 0)
@@ -892,17 +908,22 @@ class TestRecallTable:
         ((1, 7), 1, 8, 0, True, False),           # 8 rows, runs of 6
         ((1, 7), 1, 9, 10**4, False, True),       # 9 rows
         (range(1, 11), 7, 50, 0, True, False),    # 17,920 entries
-        (range(1, 51), 7, 50, 0, False, True),    # 89,600 entries
+        (range(1, 51), 7, 50, 0, 4, False),       # 1,792 entries a cell
         ((1,), 8192, 8193, 0, True, False),       # 8,193 orders in a cell
+        ((1, 9), 4097, 8193, 0, False, False),    # 32,776 entries a cell
+        (range(1, 51), 7, 50, -1, False, True),   # one trial too few
     ])
     def test_used_only_on_short_horizons_with_enough_trials(
             self, monkeypatch, orders, b, q, slack, used, probed):
         """The fewest trials that take the table, and the horizon and size
-        limits; at p = 1 runs of more than 4 rows go to _probe_plan, except
-        on the table path, which asks for no plan. A call on the table path
-        builds no W/S table and runs no fold; one that reduces its
-        batch-axis cells (O <= B) builds and folds the tables of each chunk
-        of them once: two chunks at O = 1 .. 7, one elsewhere."""
+        limits, ``used`` the tables the call builds (True for one, False for
+        none), one per range of cells whose tables fit the cap together
+        (none when one cell's does not); at p = 1 runs of more than 4 rows
+        go to _probe_plan, except on the table path, which asks for no
+        plan. A call on the table path builds no W/S table and runs no
+        fold; one that reduces its batch-axis cells (O <= B) builds and
+        folds the tables of each chunk of them once: two chunks at O = 1 ..
+        7, B = 7 with one trial too few, one elsewhere."""
         rows = (q + 2 * b - 2) // b
         n = (b << rows) + slack
         tables = record_calls(monkeypatch, "_recall_table")
@@ -929,6 +950,76 @@ class TestRecallTable:
         assert len(folds) == len(axes)
         assert all(fold[2] is axis for (fold, _, _), (*_, axis)
                    in zip(folds, axes))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_cells_over_several_tables_match_the_reductions(self, data):
+        """Groups of two to six cells whose tables do not fit the cap
+        together (the budget cut to four times the tables of k cells, fewer
+        than the group's): each range of cells builds its own table, within
+        the cap, every recall equals the reductions' with the table turned
+        off, and sampled trials equal run_trial."""
+        b = data.draw(st.integers(1, 8), label="B")
+        rows = data.draw(st.integers(2, min(8, (512 // b).bit_length() - 1)),
+                         label="rows")
+        q = data.draw(st.integers((rows - 2) * b + 2, (rows - 1) * b + 1),
+                      label="Q")
+        orders = data.draw(st.lists(st.integers(1, q), min_size=2, max_size=6,
+                                    unique=True).map(sorted), label="orders")
+        k = data.draw(st.integers(1, len(orders) - 1), label="cells a table")
+        p = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="p")
+        n = data.draw(st.integers(0, 64), label="extra trials") + (b << rows)
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        seeds = [derive_seed(seed, o, b) for o in orders]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_CHUNK_OUTPUTS", 4 * k * b << rows)
+            tables = record_calls(mp, "_recall_table")
+            recalls = group_recalls(orders, b, q, p, seeds, n)
+            sizes = [table.size for *_, table in tables]
+            assert len(sizes) > 1 and max(sizes) <= k * b << rows
+            assert sum(sizes) == len(orders) * b << rows
+            mp.setattr(montecarlo, "_TABLE_ROWS", 0)
+            reduced = group_recalls(orders, b, q, p, seeds, n)
+            assert len(tables) == len(sizes)
+        np.testing.assert_array_equal(recalls, reduced)
+        sample = sorted({0, n - 1, data.draw(st.integers(0, n - 1),
+                                             label="trial")})
+        for c, (o, cell_seed) in enumerate(zip(orders, seeds)):
+            for i in sample:
+                assert recalls[c, i] == run_trial(TrialConfig.from_seed(
+                    ModelParams(o, b, q, p), derive_seed(cell_seed, i)))
+
+    @pytest.mark.parametrize("n,built", [
+        (10_000, {7: 3, 8: 4, 9: 2, 11: 2, 12: 2}),
+        (1_000, {7: 0, 8: 0, 9: 0, 11: 2, 12: 2})])
+    def test_validate_groups_build_a_table_per_range(self, monkeypatch, n,
+                                                     built):
+        """validate's B = 7 .. 9, 11 and 12 (Q = 50, O = 1 .. 50) have 1,792,
+        2,048, 1,152, 704 and 768 table entries a cell, more than one table
+        of all 50 cells may hold: each range of cells builds its own, as
+        many whole chunks of cells as fit the cap. At 1,000 trials B = 7 ..
+        9 have fewer trials than entries a cell and reduce every trial."""
+        tables = record_calls(monkeypatch, "_recall_table")
+        for b, count in built.items():
+            before = len(tables)
+            montecarlo._group_recalls(tuple(range(1, 51)), b, 50, 0.15,
+                                      range(50), n, lambda *block: None)
+            assert len(tables) - before == count, f"B={b}"
+        assert all(table.size <= montecarlo._CHUNK_OUTPUTS // 4
+                   for *_, table in tables)
+
+    @pytest.mark.parametrize("b,cells", [(13, 2), (25, 3), (100, 3)])
+    def test_table_chunks_hold_several_cells(self, b, cells):
+        """A table-path column draws at most 9 rows, one row block, and
+        holds about four words of vectors, so at 10,000 trials a chunk of
+        validate's horizons of 2 to 5 batches holds ``cells`` whole
+        cells."""
+        shapes = []
+        montecarlo._group_recalls(
+            tuple(range(1, 51)), b, 50, 0.15, range(50), 10_000,
+            lambda cell, trial, block: shapes.append(block.shape))
+        assert shapes == [(cells, 10_000)] * (50 // cells) + (
+            [(50 % cells, 10_000)] if 50 % cells else [])
 
     @pytest.mark.parametrize("orders,b,q,straddles", [
         ((1,), 1, 6000, False), ((1,), 7, 50, False), ((1, 2), 3, 50, True),
@@ -1330,9 +1421,11 @@ class TestSweep:
 
     @pytest.mark.parametrize("n", [1_000, 10_000])
     def test_validate_sweep_memory_bounded(self, n):
-        """The 5,000 cells of ``validate`` peak near 1.7 MiB at 1,000 trials
-        and 1.9 MiB at 10,000: a chunk's row blocks span the whole budget
-        of 2**17 words, and no table grows with the grid or the trials."""
+        """The 5,000 cells of ``validate`` peak near 1.9 MiB at 1,000 trials
+        and 2.1 MiB at 10,000: a chunk's row blocks span the whole budget
+        of 2**17 words, and no table grows with the grid or the trials
+        (a recall table is built per range of cells, within 2**15
+        entries)."""
         grid, peak = traced_peak(sweep, 50, 0.15, range(1, 51),
                                  range(1, 101), n)
         assert grid.n_trials == n
@@ -1561,6 +1654,33 @@ class TestSweep:
             sweep(50, 0.15, [1, 60], [1], include_simulation=False)
         with pytest.raises(InvalidParamsError, match="^crisis_prob"):
             sweep(50, 1.5, [1, 60], [1], include_simulation=False)
+
+    def test_order_range_past_quantity_fails_at_once(self):
+        """A range axis is checked without being built, so an order range of
+        10**18 sizes fails O <= Q at once (in a child process, which a scan
+        of the range would keep past its timeout); the checks before it
+        still come first, and a range that passes gives the axis of its
+        elements."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "from batchfrag.montecarlo import sweep\n"
+             "sweep(12, 0.1, range(1, 10**18), [1], include_simulation=False)"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.stderr.endswith(
+            "InvalidParamsError: order size exceeds total quantity"
+            " (999999999999999999 > 12)\n")
+        far = range(1, 10**18)
+        with pytest.raises(InvalidParamsError, match="^crisis_prob"):
+            sweep(12, 1.5, far, [1], include_simulation=False)
+        with pytest.raises(InvalidParamsError,
+                           match="^batch_sizes must be strictly ascending"):
+            sweep(12, 0.1, far, [2, 1], include_simulation=False)
+        with pytest.raises(InvalidParamsError,
+                           match="^order_size must be >= 1, got 0$"):
+            sweep(12, 0.1, range(0, 10**18), [1], include_simulation=False)
+        grid = sweep(50, 0.15, range(1, 51, 7), range(2, 9, 3),
+                     include_simulation=False)
+        assert grid.order_sizes == (1, 8, 15, 22, 29, 36, 43, 50)
+        assert grid.batch_sizes == (2, 5, 8)
 
     def test_trials_and_seed_checked_only_when_simulating(self):
         grid = sweep(50, 0.15, [1], [1], n_trials=0, base_seed=2.5,
